@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 from fractions import Fraction
 
 from . import detect as detect_mod
@@ -28,17 +26,26 @@ EXIT_NEGATIVE = 3
 EXIT_INCONCLUSIVE = 4
 
 
-def _threads() -> int:
-    """Worker cap from LATTES_THREADS; sweeps currently run sequentially
-    and deterministically, so this only validates the setting."""
-    raw = os.environ.get("LATTES_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise SystemExit(f"LATTES_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise SystemExit("LATTES_THREADS must be >= 1")
-    return n
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one line on stderr; --help shows the usage."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _parse_lambda(text: str, field: FiniteField):
@@ -140,7 +147,6 @@ def _cmd_torsion_locus(args) -> int:
 
 
 def _cmd_pvi_check(args) -> int:
-    t0 = time.monotonic()
     locus = pvi.torsion_locus(args.m)
     cand = pvi.implicit_derivatives(locus.psi)
     params = pvi.picard_params()
@@ -155,7 +161,6 @@ def _cmd_pvi_check(args) -> int:
         "control_nonzero": not control.is_zero(),
         "etale": etale["etale"],
         "disc_roots": (["0"] if etale.get("lambda_multiplicity") else []) + (["1"] if etale.get("lambda_minus_1_multiplicity") else []),
-        "runtime_ms": int((time.monotonic() - t0) * 1000),
     }
     _emit(report, args)
     return EXIT_OK if ok else EXIT_FAILED
@@ -223,11 +228,16 @@ def _cmd_verify_all(args) -> int:
     return EXIT_OK if passed == len(items) else EXIT_FAILED
 
 
+# argparse takes "-5/4" after a space for an option flag, so negative fractions need "="
+LAMBDA_HELP = "a/b, an integer, or a comma coefficient list over F_{p^k}; write a negative fraction as --lambda=-5/4"
+Z_HELP = "a/b, an integer, or inf; write a negative fraction as --z=-5/4"
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--out", default=None, help="write the report to a file instead of stdout")
-    parser = argparse.ArgumentParser(prog="lattes", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="lattes", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
@@ -238,20 +248,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("selfmap", _cmd_selfmap, help="the reduced [p]-map at lambda")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, default=1, help="field degree of lambda")
-    sp.add_argument("--lambda", dest="lam", required=True)
+    sp.add_argument("--lambda", dest="lam", required=True, help=LAMBDA_HELP)
 
     sp = add("orbit", _cmd_orbit, help="orbit and torsion report for one point")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--lambda", dest="lam", required=True)
-    sp.add_argument("--z", required=True)
-    sp.add_argument("--n", type=int, default=0, help="iterate over F_{p^{2n}} (0: field of lambda)")
+    sp.add_argument("--lambda", dest="lam", required=True, help=LAMBDA_HELP)
+    sp.add_argument("--z", required=True, help=Z_HELP)
+    sp.add_argument("--n", type=_int_at_least(0), default=0, help="iterate over F_{p^{2n}} (0: field of lambda)")
 
     sp = add("census", _cmd_census, help="periodicity census over P^1(F_{p^{2n}})")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--lambda", dest="lam", required=True)
-    sp.add_argument("--n", type=int, default=1)
+    sp.add_argument("--lambda", dest="lam", required=True, help=LAMBDA_HELP)
+    sp.add_argument("--n", type=_int_at_least(1), default=1, help="census P^1(F_{p^{2n}}), n >= 1")
     sp.add_argument("--verdicts", action="store_true", help="include torsion-order verdict tallies")
 
     sp = add("supersingular-scan", _cmd_supersingular_scan, help="supersingular lambda in F_{p^2}")
@@ -267,9 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
 
     sp = add("is-torsion", _cmd_is_torsion, help="certified torsion verdict for rational (lambda, z)")
-    sp.add_argument("--lambda", dest="lam", required=True)
-    sp.add_argument("--z", required=True)
-    sp.add_argument("--bound", type=int, default=detect_mod.DEFAULT_BOUND)
+    sp.add_argument("--lambda", dest="lam", required=True, help="a/b or an integer; write a negative fraction as --lambda=-5/4")
+    sp.add_argument("--z", required=True, help=Z_HELP)
+    sp.add_argument("--bound", type=_int_at_least(1), default=detect_mod.DEFAULT_BOUND, help="largest torsion order searched, >= 1")
 
     sp = add("verify-all", _cmd_verify_all, help="run the verification sweep")
     sp.add_argument("--pmax", type=int, default=13)
@@ -278,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -31,6 +31,8 @@ class TorsionQuery:
         lam = self.lam
         if lam * (lam - 1) == 0:
             raise ValueError("lambda must avoid 0 and 1")
+        if self.bound < 1:
+            raise ValueError(f"search bound must be >= 1, got {self.bound}")
 
 
 @dataclass
@@ -80,12 +82,7 @@ def local_order(lam: Fraction, z, p: int) -> int:
     """Order of (a lift of) the reduction of z in C_lambda over F_p or F_{p^2}."""
     if not is_good_prime(lam, z, p):
         raise ValueError(f"{p} is a bad prime for (lambda={lam}, z={z})")
-    field = FiniteField(p)
-    curve = LegendreCurve(field, lam)
-    if z is INF:
-        return 1
-    P = curve.lift_x(field.coerce(z), extend=True)[0]
-    return P.curve.torsion_order(P)
+    return LegendreCurve(FiniteField(p), lam).x_order(z)
 
 
 def _prime_to(p: int, m: int) -> int:

@@ -8,6 +8,7 @@ reproducible across runs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -230,7 +231,7 @@ class FFElement:
 
     def _coerce_other(self, other):
         if isinstance(other, FFElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldError("field mismatch")
             return other
         if isinstance(other, (int, Fraction)):
@@ -238,11 +239,16 @@ class FFElement:
         return None
 
     def __add__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
-        p = self.field.p
-        return FFElement(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        f = self.field
+        if other.__class__ is not FFElement or other.field is not f:
+            other = self._coerce_other(other)
+            if other is None:
+                return NotImplemented
+        p = f.p
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1:
+            return FFElement(f, ((a[0] + b[0]) % p,))
+        return FFElement(f, tuple([(u + v) % p for u, v in zip(a, b)]))
 
     __radd__ = __add__
 
@@ -251,23 +257,34 @@ class FFElement:
         return FFElement(self.field, tuple(-a % p for a in self.coeffs))
 
     def __sub__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
-        p = self.field.p
-        return FFElement(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        f = self.field
+        if other.__class__ is not FFElement or other.field is not f:
+            other = self._coerce_other(other)
+            if other is None:
+                return NotImplemented
+        p = f.p
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1:
+            return FFElement(f, ((a[0] - b[0]) % p,))
+        return FFElement(f, tuple([(u - v) % p for u, v in zip(a, b)]))
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
         f = self.field
+        if other.__class__ is not FFElement or other.field is not f:
+            other = self._coerce_other(other)
+            if other is None:
+                return NotImplemented
         if f.k == 1:
-            return FFElement(f, (self.coeffs[0] * o.coeffs[0] % f.p,))
-        prod = _gf_mul(list(self.coeffs), list(o.coeffs), f.p)
+            return FFElement(f, (self.coeffs[0] * other.coeffs[0] % f.p,))
+        if f.k == 2:
+            # (a0 + a1 t)(b0 + b1 t) with t^2 = -m1 t - m0
+            (a0, a1), (b0, b1), (m0, m1, _) = self.coeffs, other.coeffs, f.modulus
+            hi = a1 * b1
+            return FFElement(f, ((a0 * b0 - m0 * hi) % f.p, (a0 * b1 + a1 * b0 - m1 * hi) % f.p))
+        prod = _gf_mul(list(self.coeffs), list(other.coeffs), f.p)
         red = _gf_divmod(prod, list(f.modulus), f.p)[1]
         return FFElement(f, tuple(red) + (0,) * (f.k - len(red)))
 
@@ -280,7 +297,7 @@ class FFElement:
         if f.k == 1:
             return FFElement(f, (pow(self.coeffs[0], f.p - 2, f.p),))
         if f._tables_state == 2:
-            return f._exp[-f._log[self.coeffs] % (f.order - 1)]
+            return FFElement(f, f._exp[-f._log[self.coeffs] % (f.order - 1)])
         # extended Euclid against the modulus: track s with s*self = gcd mod modulus
         p = f.p
         a, b = list(f.modulus), _gf_trim(list(self.coeffs))
@@ -318,7 +335,7 @@ class FFElement:
             if self.is_zero():
                 return f.one if e == 0 else self
             exp, log = f._log_tables()
-            return exp[(log[self.coeffs] * e) % (f.order - 1)]
+            return FFElement(f, exp[(log[self.coeffs] * e) % (f.order - 1)])
         result = f.one
         base = self
         while e:
@@ -342,7 +359,7 @@ class FFElement:
 
     def __eq__(self, other):
         if isinstance(other, FFElement):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return self.coeffs == other.coeffs and (self.field is other.field or self.field == other.field)
         if isinstance(other, int):
             return self == self.field.coerce(other)
         return NotImplemented
@@ -386,13 +403,22 @@ class FiniteField:
                 if len(modulus) != k + 1 or modulus[-1] != 1 or not _gf_is_irreducible(list(modulus), p):
                     raise FieldError("modulus must be monic irreducible of the stated degree")
             self.modulus = modulus
-        self.zero = FFElement(self, (0,) * k)
-        self.one = FFElement(self, (1,) + (0,) * (k - 1))
         self._exp = None
         self._log = None
         self._tables_state = 0  # 0 unbuilt, 1 building, 2 ready
 
     LOG_TABLE_BOUND = 1 << 16
+
+    # zero and one are built on each use and the log tables store coefficient
+    # tuples: an element refers to its field, so a stored element would make
+    # the field a reference cycle, freed only by the cyclic garbage collector
+    @property
+    def zero(self):
+        return FFElement(self, (0,) * self.k)
+
+    @property
+    def one(self):
+        return FFElement(self, (1,) + (0,) * (self.k - 1))
 
     def _log_tables(self):
         """Lazy discrete exp/log tables; they make pow and inverse O(1).
@@ -415,7 +441,7 @@ class FiniteField:
             log = {}
             acc = self.one
             for i in range(q - 1):
-                exp.append(acc)
+                exp.append(acc.coeffs)
                 log[acc.coeffs] = i
                 acc = acc * gen
             self._exp = exp
@@ -425,6 +451,8 @@ class FiniteField:
 
     def element(self, coeffs) -> FFElement:
         coeffs = [c % self.p for c in coeffs]
+        if self.k == 1 and len(coeffs) > 1:
+            raise FieldError(f"an element of F_{self.p} takes one coefficient, got {len(coeffs)}")
         if len(coeffs) > self.k:
             red = _gf_divmod(coeffs, list(self.modulus), self.p)[1]
             coeffs = red
@@ -446,13 +474,9 @@ class FiniteField:
         raise FieldError(f"cannot coerce {v!r} into F_{self.p}^{self.k}")
 
     def __iter__(self):
-        for n in range(self.order):
-            digits = []
-            t = n
-            for _ in range(self.k):
-                digits.append(t % self.p)
-                t //= self.p
-            yield FFElement(self, tuple(digits))
+        # ascending n = sum c_i p^i; product varies its last entry fastest, hence the reversal
+        for digits in itertools.product(range(self.p), repeat=self.k):
+            yield FFElement(self, digits[::-1])
 
     def gen(self):
         """The residue of x (k > 1) or 1."""
@@ -500,7 +524,7 @@ class FiniteField:
         return min(r, -r, key=lambda e: e.coeffs)
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, FiniteField)
             and other.p == self.p
             and other.k == self.k

@@ -65,9 +65,9 @@ class CurvePoint:
     def __eq__(self, other):
         if not isinstance(other, CurvePoint):
             return NotImplemented
-        if self.is_infinity or other.is_infinity:
-            return self.is_infinity and other.is_infinity
-        return self.curve == other.curve and self.x == other.x and self.y == other.y
+        if self.x is None or other.x is None:
+            return self.x is None and other.x is None
+        return (self.curve is other.curve or self.curve == other.curve) and self.x == other.x and self.y == other.y
 
     def __hash__(self):
         if self.is_infinity:
@@ -108,13 +108,17 @@ class LegendreCurve:
         self.a = -(one + lam)
         self.b = lam
         self.c = zero
-        self.infinity = CurvePoint(self)
+        self._one = one
         self._counts = {}
+
+    @property
+    def infinity(self):
+        # built on each use: a stored point would refer back to its curve
+        return CurvePoint(self)
 
     def f(self, x):
         """The cubic x(x-1)(x-lam)."""
-        one = self.base.one
-        return x * (x - one) * (x - self.lam)
+        return x * (x - self._one) * (x - self.lam)
 
     def f_poly(self):
         ring = PolyRing(self.base, "x")
@@ -128,7 +132,7 @@ class LegendreCurve:
         return CurvePoint(self, x, y)
 
     def __eq__(self, other):
-        return isinstance(other, LegendreCurve) and other.base == self.base and other.lam == self.lam
+        return other is self or (isinstance(other, LegendreCurve) and other.base == self.base and other.lam == self.lam)
 
     def __hash__(self):
         return hash(("legendre", self.base, self.lam))
@@ -139,9 +143,9 @@ class LegendreCurve:
     # -- group law
 
     def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-        if P.is_infinity:
+        if P.x is None:
             return Q
-        if Q.is_infinity:
+        if Q.x is None:
             return P
         if P.x == Q.x:
             if P.y == -Q.y:
@@ -262,6 +266,35 @@ class LegendreCurve:
         order = n
         for ell in factorize(n):
             while order % ell == 0 and self.scalar_mul(order // ell, P).is_infinity:
+                order //= ell
+        return order
+
+    def x_order(self, z) -> int:
+        """Order of either lift to the curve of z in P^1(F_q), computed in F_q.
+
+        A lift with f(z) a square lies in C(F_q), of order q + 1 - a; one
+        with f(z) a non-square lies in ker(Frobenius + 1), the group of the
+        quadratic twist, of order q + 1 + a (Washington, Elliptic Curves,
+        2nd ed., 4.1).  Off the 2-torsion, [m]P = O exactly when
+        psihat_m(z) = 0 (ibid., Thm 3.6), so the primes of that group order
+        are stripped by running the psihat recurrence on the scalar z: no
+        group law, no extension field and no inversions.  torsion_order is
+        the group-law oracle for this.
+        """
+        if z is INF:
+            return 1
+        base = self.base
+        z = base.coerce(z)
+        fz = self.f(z)
+        if fz.is_zero():
+            return 2
+        q = base.order
+        _, a = self.count_and_trace()
+        n = q + 1 - a if fz ** ((q - 1) // 2) == base.one else q + 1 + a
+        psihat = PsiHat(z, self.lam, base.one)
+        order = n
+        for ell in factorize(n):
+            while order % ell == 0 and psihat.get(order // ell).is_zero():
                 order //= ell
         return order
 
@@ -546,13 +579,14 @@ def _integer_bivariate(P: Poly):
     return rows, height, P.degree, degl
 
 
-def _eval_bounded(rows, height, degx, degl, xval, lval):
+def _eval_bounded(rows, height, degx, degl, xshift, lshift):
+    """Horner at x = 2^xshift, lambda = 2^lshift; shifts, not bignum products."""
     acc = 0
     for ints in reversed(rows):
         lacc = 0
         for v in reversed(ints):
-            lacc = lacc * lval + v
-        acc = acc * xval + lacc
+            lacc = (lacc << lshift) + v
+        acc = (acc << xshift) + lacc
     return _BoundedInt(acc, height, degx, degl)
 
 
@@ -564,9 +598,11 @@ def verify_composition(m: int, n: int) -> bool:
     beyond the tracked degree and height bounds, which proves the
     polynomial identity.
     """
-    outer = mult_x_map(m)
-    inner = mult_x_map(n)
-    whole = mult_x_map(m * n)
+    return _composition_holds(mult_x_map(m), mult_x_map(n), mult_x_map(m * n))
+
+
+def _composition_holds(outer: RationalFunction, inner: RationalFunction, whole: RationalFunction) -> bool:
+    """whole == outer o inner over Q(lambda), by the Kronecker-point proof above."""
     datas = {}
     for name, p in (("Ao", outer.num), ("Bo", outer.den), ("Ai", inner.num), ("Bi", inner.den), ("Aw", whole.num), ("Bw", whole.den)):
         datas[name] = _integer_bivariate(p)
@@ -576,30 +612,28 @@ def verify_composition(m: int, n: int) -> bool:
     degx_total = max(datas["Aw"][2], datas["Bw"][2]) + D * degx_inner
     S = degx_total + 1
 
-    # first pass with a crude T, then confirm T beats the tracked height
-    T = 64
+    # the tracked heights do not depend on T, so a first pass at T = 0 (cheap
+    # small values) only measures them; the second pass is the proof
+    T = 0
     while True:
-        xval = 1 << T
-        lval = 1 << (T * S)
-        Ai = _eval_bounded(*datas["Ai"], xval, lval)
-        Bi = _eval_bounded(*datas["Bi"], xval, lval)
-        ai_pows = [_BoundedInt(1, 1, 0, 0)]
-        bi_pows = [_BoundedInt(1, 1, 0, 0)]
-        for _ in range(D):
-            ai_pows.append(ai_pows[-1] * Ai)
-            bi_pows.append(bi_pows[-1] * Bi)
+        Ai = _eval_bounded(*datas["Ai"], T, T * S)
+        Bi = _eval_bounded(*datas["Bi"], T, T * S)
 
-        def compose(rows, height, degx, degl):
-            total = _BoundedInt(0, 0, 0, 0)
-            for i, ints in enumerate(rows):
-                ci = _eval_bounded([ints], height, 0, max(len(ints) - 1, 0), xval, lval)
-                total = total + ci * ai_pows[i] * bi_pows[D - i]
-            return total
+        def coefficients(rows, height, degx, degl):
+            cs = [_eval_bounded([ints], height, 0, max(len(ints) - 1, 0), T, T * S) for ints in rows]
+            return cs + [_BoundedInt(0, 0, 0, 0)] * (D + 1 - len(cs))
 
-        Acomp = compose(*datas["Ao"])
-        Bcomp = compose(*datas["Bo"])
-        Aw = _eval_bounded(*datas["Aw"], xval, lval)
-        Bw = _eval_bounded(*datas["Bw"], xval, lval)
+        # homogeneous Horner for sum_i c_i Ai^i Bi^(D-i): every product has
+        # one short factor (Ai, Bi or a c_i), none is a square-size product
+        ca, cb = coefficients(*datas["Ao"]), coefficients(*datas["Bo"])
+        Acomp, Bcomp = ca[D], cb[D]
+        bi_pow = _BoundedInt(1, 1, 0, 0)
+        for i in range(D - 1, -1, -1):
+            bi_pow = bi_pow * Bi
+            Acomp = Acomp * Ai + ca[i] * bi_pow
+            Bcomp = Bcomp * Ai + cb[i] * bi_pow
+        Aw = _eval_bounded(*datas["Aw"], T, T * S)
+        Bw = _eval_bounded(*datas["Bw"], T, T * S)
         lhs = Aw * Bcomp
         rhs = Bw * Acomp
         need = (lhs.height + rhs.height).bit_length() + 2

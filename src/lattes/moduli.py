@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .fields import FFElement, FiniteField, apply_frobenius_table, embed, frobenius_table
 from .legendre import INF, CurveError, LegendreCurve, is_supersingular, mult_x_map
-from .poly import RationalFunction
+from .poly import PolyRing, RationalFunction
 from .serialize import value_to_json
 
 
@@ -171,10 +171,30 @@ class OrbitReport:
 
 
 def _selfmap_over(sm: SelfMap, field: FiniteField) -> SelfMap:
-    """The same map with lambda pushed into a larger field."""
+    """The same map with its coefficients pushed into a larger field.
+
+    The coefficients lie in F_p(lambda); they go through the embedding
+    fixed by lambda -> embed(lambda, field).  A reduced fraction stays
+    reduced under a field extension and its monic denominator stays monic,
+    so the map is not rebuilt.
+    """
     if field == sm.lam.field:
         return sm
-    return build_selfmap(embed(sm.lam, field), sm.p)
+    lam = embed(sm.lam, field)
+    gen = None
+    if not sm.lam.in_prime_field():
+        # lambda = l0 + l1*g generates F_{p^2} = F_p(g), so g goes to (lam - l0)/l1
+        l0, l1 = sm.lam.coeffs
+        gen = (lam - l0) * pow(l1, -1, sm.p)
+
+    def phi(c):
+        if gen is None:
+            return field.element([c.lift_int()])
+        return field.element([c.coeffs[0]]) + c.coeffs[1] * gen
+
+    ring = PolyRing(field, "x")
+    mp = RationalFunction(sm.map.num.map_coeffs(phi, ring), sm.map.den.map_coeffs(phi, ring), reduce=False)
+    return SelfMap(sm.p, lam, mp, LegendreCurve(field, lam))
 
 
 def _proj_points(field: FiniteField):
@@ -185,9 +205,10 @@ def _proj_points(field: FiniteField):
 def orbit(z, sm: SelfMap, field: FiniteField | None = None) -> OrbitReport:
     """Iterate the self-map from z until a repeat; attach torsion data.
 
-    The torsion order is that of a lift of z itself, taken in a quadratic
-    extension when f(z) is a non-square.  Flags compare it against
-    p^f -+ 1 for the period f of the cycle the orbit falls into.
+    The torsion order is that of a lift of z itself, over a quadratic
+    extension when f(z) is a non-square, read off z by
+    LegendreCurve.x_order.  Flags compare it against p^f -+ 1 for the
+    period f of the cycle the orbit falls into.
     """
     if field is None:
         field = sm.lam.field if z is INF else z.field
@@ -206,7 +227,7 @@ def orbit(z, sm: SelfMap, field: FiniteField | None = None) -> OrbitReport:
     period = len(trajectory) - first
     report = OrbitReport(z=z, tail=tail, period=period, cycle=trajectory[first:])
 
-    m = _torsion_order_of_x(sm, z, field)
+    m = sm.curve.x_order(z)
     report.torsion_order = m
     f = period
     q = sm.p**f
@@ -215,15 +236,6 @@ def orbit(z, sm: SelfMap, field: FiniteField | None = None) -> OrbitReport:
     report.equals_pf_minus_1 = m == q - 1
     report.gcd_with_p = sm.p if m % sm.p == 0 else 1
     return report
-
-
-def _torsion_order_of_x(sm: SelfMap, z, field: FiniteField) -> int:
-    """Order of either lift of z on the curve over (an extension of) field."""
-    if z is INF:
-        return 1
-    curve = sm.curve if sm.lam.field == field else LegendreCurve(field, embed(sm.lam, field))
-    P = curve.lift_x(z, extend=True)[0]
-    return P.curve.torsion_order(P)
 
 
 def period_torsion_report(z, lam: FFElement, p: int | None = None, field: FiniteField | None = None) -> OrbitReport:
@@ -282,7 +294,7 @@ def classify_field(lam: FFElement, p: int | None = None, n: int = 1, with_torsio
         histogram[f] = histogram.get(f, 0) + f
         if with_torsion:
             for idx in cycle:
-                m = _torsion_order_of_x(sm_t, points[idx], target)
+                m = sm_t.curve.x_order(points[idx])
                 q = p**f
                 if (q - 1) % m == 0:
                     verdicts["div_pf_minus_1"] += 1

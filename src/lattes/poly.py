@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .fields import QQ, FieldError, FiniteField
+from .fields import QQ, FFElement, FieldError, FiniteField
 
 
 class ZeroDivisorFound(ArithmeticError):
@@ -23,14 +23,77 @@ class ZeroDivisorFound(ArithmeticError):
         self.factor = factor
 
 
+def _integral(coeffs):
+    """The numerators of rational coefficients that are all integers, else None."""
+    out = []
+    for c in coeffs:
+        if c.denominator != 1:
+            return None
+        out.append(c.numerator)
+    return out
+
+
+def _int_convolve(a, b):
+    """Product of two integer coefficient lists; plain ints avoid Fraction overhead."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _ff_convolve(field, a, b):
+    """Product of two F_q coefficient lists by Kronecker substitution.
+
+    Each list becomes one integer: coefficient j of entry i is the digit at
+    position i*(2k-1) + j, base 2^(8*width), wide enough that no digit of
+    the integer product carries.  One integer product then does the whole
+    convolution in Z[t]; each entry is reduced mod (p, modulus) once.
+    """
+    p, k = field.p, field.k
+    slots = 2 * k - 1
+    width = ((min(len(a), len(b)) * k * (p - 1) ** 2).bit_length() + 7) // 8
+    pad = bytes(width * (k - 1))
+
+    def pack(cs):
+        return int.from_bytes(
+            b"".join(b"".join(d.to_bytes(width, "little") for d in c.coeffs) + pad for c in cs), "little"
+        )
+
+    n = len(a) + len(b) - 1
+    raw = (pack(a) * pack(b)).to_bytes(n * slots * width, "little")
+    digits = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    if k == 1:
+        return [FFElement(field, (d % p,)) for d in digits]
+    mod = field.modulus
+    out = []
+    for i in range(0, len(digits), slots):
+        ds = digits[i : i + slots]
+        for top in range(slots - 1, k - 1, -1):
+            c = ds[top]
+            if c:
+                for j in range(k):
+                    ds[top - k + j] -= c * mod[j]
+        out.append(FFElement(field, tuple([d % p for d in ds[:k]])))
+    return out
+
+
 class PolyRing:
     """R[var] for a base ring R."""
 
     def __init__(self, base, var="x"):
         self.base = base
         self.var = var
-        self.zero = Poly(self, ())
-        self.one = Poly(self, (base.one,))
+
+    # built on each use: a stored polynomial would refer back to its ring
+    @property
+    def zero(self):
+        return Poly(self, ())
+
+    @property
+    def one(self):
+        return Poly(self, (self.base.one,))
 
     def gen(self):
         return Poly(self, (self.base.zero, self.base.one))
@@ -110,6 +173,12 @@ class Poly:
         a, b = self.coeffs, o.coeffs
         if len(a) < len(b):
             a, b = b, a
+        if self.ring.base.zero.__class__ is Fraction:
+            ia, ib = _integral(a), _integral(b)
+            if ia is not None and ib is not None:
+                for i, c in enumerate(ib):
+                    ia[i] += c
+                return Poly(self.ring, [Fraction(c) for c in ia])
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
@@ -137,6 +206,12 @@ class Poly:
         if not a or not b:
             return self.ring.zero
         zero = self.ring.base.zero
+        if zero.__class__ is FFElement:
+            return Poly(self.ring, _ff_convolve(zero.field, a, b))
+        if zero.__class__ is Fraction:
+            ia, ib = _integral(a), _integral(b)
+            if ia is not None and ib is not None:
+                return Poly(self.ring, [Fraction(c) for c in _int_convolve(ia, ib)])
         out = [zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai == zero:
@@ -177,6 +252,8 @@ class Poly:
         if dq < 0:
             return self.ring.zero, self
         inv_lc = _invert_coeff(o.lc)
+        if zero.__class__ is FFElement and zero.field.k == 1:
+            return self._divrem_prime_field(o, dq, inv_lc)
         quot = [zero] * (dq + 1)
         for shift in range(dq, -1, -1):
             top = rem[shift + o.degree]
@@ -187,6 +264,24 @@ class Poly:
             for i, oc in enumerate(o.coeffs):
                 rem[shift + i] = rem[shift + i] - c * oc
         return Poly(self.ring, quot), Poly(self.ring, rem[: o.degree])
+
+    def _divrem_prime_field(self, o, dq, inv_lc):
+        """divrem over F_p on plain ints, reduced mod p only where it matters."""
+        field = inv_lc.field
+        p, inv = field.p, inv_lc.coeffs[0]
+        rem = [c.coeffs[0] for c in self.coeffs]
+        div = [c.coeffs[0] for c in o.coeffs]
+        quot = [0] * (dq + 1)
+        for shift in range(dq, -1, -1):
+            c = rem[shift + o.degree] * inv % p
+            if c:
+                quot[shift] = c
+                for i, v in enumerate(div):
+                    rem[shift + i] -= c * v
+        return (
+            Poly(self.ring, [FFElement(field, (c,)) for c in quot]),
+            Poly(self.ring, [FFElement(field, (c % p,)) for c in rem[: o.degree]]),
+        )
 
     def __floordiv__(self, other):
         return self.divrem(other)[0]

@@ -95,6 +95,12 @@ def test_torsion_locus(capsys):
     assert data["deg_x"] == 4
 
 
+def test_pvi_check_is_deterministic(capsys):
+    _, first = run(["pvi-check", "--m", "3"], capsys)
+    _, second = run(["pvi-check", "--m", "3"], capsys)
+    assert first == second
+
+
 def test_pvi_check(capsys):
     code, data = run_json(["pvi-check", "--m", "3"], capsys)
     assert code == EXIT_OK
@@ -145,19 +151,47 @@ def test_determinism(capsys):
     assert first == second
 
 
-def test_threads_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("LATTES_THREADS", "zero")
-    with pytest.raises(SystemExit):
-        main(["hasse-poly", "--p", "3"])
-    capsys.readouterr()
-    monkeypatch.setenv("LATTES_THREADS", "2")
-    code = main(["hasse-poly", "--p", "3"])
-    capsys.readouterr()
-    assert code == EXIT_OK
-
-
 def test_usage_error_exit(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["selfmap"])  # missing required flags
     capsys.readouterr()
     assert ei.value.code == EXIT_USAGE
+
+
+def usage_error(argv, capsys):
+    """The exit code and stderr of a command the parser must refuse."""
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    err = capsys.readouterr().err
+    return ei.value.code, err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["census", "--p", "3", "--lambda", "2", "--n", "0"], "--n"),
+        (["census", "--p", "3", "--lambda", "2", "--n", "-1"], "--n"),
+        (["orbit", "--p", "5", "--lambda", "2", "--z", "3", "--n", "-1"], "--n"),
+        (["is-torsion", "--lambda", "2", "--z", "3", "--bound", "0"], "--bound"),
+        (["is-torsion", "--lambda", "2", "--z", "3", "--bound", "-5"], "--bound"),
+    ],
+)
+def test_parser_rejects_out_of_range_counts(argv, flag, capsys):
+    code, err = usage_error(argv, capsys)
+    assert code == EXIT_USAGE
+    assert err.count("\n") == 1 and flag in err
+
+
+def test_selfmap_rejects_coefficient_list_over_prime_field(capsys):
+    code = main(["selfmap", "--p", "3", "--lambda", "1,0,0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+
+
+def test_negative_fraction_needs_equals_sign(capsys):
+    _, data = run_json(["is-torsion", "--lambda", "2", "--z=-5/4", "--bound", "4"], capsys)
+    assert data["z"] == "-5/4"
+    code, _ = usage_error(["is-torsion", "--lambda", "2", "--z", "-5/4"], capsys)
+    assert code == EXIT_USAGE

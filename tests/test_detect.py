@@ -18,6 +18,8 @@ def test_query_validation():
         TorsionQuery(Fraction(0), Fraction(3))
     with pytest.raises(ValueError):
         TorsionQuery(Fraction(1), Fraction(3))
+    with pytest.raises(ValueError):
+        TorsionQuery(Fraction(2), Fraction(3), bound=0)  # would refute nothing
     q = TorsionQuery(Fraction(2), Fraction(3))
     assert q.bound == 64
 

@@ -85,6 +85,20 @@ def test_field_axioms_exhaustive(p, k):
         assert (a * b) * c == a * (b * c)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_quadratic_field_with_linear_term(p):
+    """F_{p^2} = F_p[t]/(t^2 + t + 2): the default moduli have no t term."""
+    F = FiniteField(p, 2, modulus=(2, 1, 1))
+    t = F.gen()
+    assert t * t == -t - 2
+    elements = list(F)
+    for a in elements:
+        if not a.is_zero():
+            assert a * a.inverse() == F.one
+        for b in elements:
+            assert (a + b) * (a - b) == a * a - b * b
+
+
 def test_coerce_and_fractions():
     F7 = FiniteField(7)
     assert F7.coerce(Fraction(1, 2)) == F7.coerce(4)
@@ -186,6 +200,9 @@ def test_cardinality_bound_and_errors():
         FiniteField(3, 2, modulus=(1, 0, 2))  # not monic
     with pytest.raises(FieldError):
         FiniteField(5, 2, modulus=(1, 0, 1))  # reducible over F_5
+    with pytest.raises(FieldError):
+        FiniteField(3).element([1, 0, 0])  # F_3 has no modulus to reduce by
+    assert FiniteField(3, 2).element([1, 0, 1]) == FiniteField(3, 2).element([0])  # x^2 = -1
 
 
 def test_serialization_round_trip():

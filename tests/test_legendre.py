@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,9 @@ from lattes.legendre import (
     scalar_mul,
     supersingular_lambdas,
     verify_composition,
+    _composition_holds,
 )
+from lattes.poly import PolyRing, RationalFunction
 
 
 def brute_points(curve):
@@ -150,6 +154,29 @@ def test_lift_x():
     assert isinstance(Q.curve.base, QuadExtField)
     assert Q.curve.scalar_mul(Q.curve.torsion_order(Q), Q).is_infinity
     assert c.lift_x(INF) == [c.infinity]
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2), (11, 1), (5, 2)])
+def test_x_order_matches_group_law(p, k):
+    # every z in P^1(F_q) for every admissible lambda, q in {5, 7, 9, 11, 25}:
+    # branch points, square f(z) (points of C(F_q)) and non-square f(z)
+    # (twist points over F_{q^2}) against the scalar_mul oracle on a lift
+    F = FiniteField(p, k)
+    kinds = set()
+    for lam in F:
+        if lam.is_zero() or lam.is_one():
+            continue
+        c = LegendreCurve(F, lam)
+        for z in [INF] + list(F):
+            P = c.lift_x(z, extend=True)[0]
+            assert c.x_order(z) == P.curve.torsion_order(P), (lam, z)
+            if z is INF:
+                kinds.add("infinity")
+            elif isinstance(P.curve.base, QuadExtField):
+                kinds.add("twist")
+            else:
+                kinds.add("branch" if P.y.is_zero() else "rational")
+    assert kinds == {"infinity", "twist", "branch", "rational"}
 
 
 def test_group_order_and_extension():
@@ -303,6 +330,31 @@ def test_verify_composition_small():
     assert verify_composition(2, 2)
     assert verify_composition(2, 3)
     assert verify_composition(1, 5)
+    # the proof must also be able to fail: phi_2 o phi_2 is not phi_3 or phi_5
+    phi = {m: mult_x_map(m) for m in (2, 3, 4, 5)}
+    assert _composition_holds(phi[2], phi[2], phi[4])
+    assert not _composition_holds(phi[2], phi[2], phi[3])
+    assert not _composition_holds(phi[2], phi[2], phi[5])
+    near = RationalFunction(phi[4].num + SYMBOLIC_X_RING.one, phi[4].den, reduce=False)
+    assert not _composition_holds(phi[2], phi[2], near)
+
+
+def test_temporaries_are_freed_without_the_cycle_collector():
+    """Fields, polynomial rings and curves hold no reference cycles, so what a
+    sweep builds (log tables included) goes as soon as it is dropped."""
+    gc.disable()
+    try:
+        F = FiniteField(7, 2)
+        F.gen() ** 10  # builds the log tables
+        curve = LegendreCurve(F, F.element([3, 1]))
+        curve.scalar_mul(5, curve.random_point(random.Random(1)))
+        R = PolyRing(F, "x")
+        (R.gen() + R.one) ** 3 % (R.gen() ** 2 + R.one)
+        refs = [weakref.ref(o) for o in (F, curve, R)]
+        del F, curve, R
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_point_serialization():

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from lattes.fields import FiniteField
+from lattes.fields import FiniteField, embed
 from lattes.legendre import INF, CurveError, LegendreCurve
 from lattes.moduli import (
     ModuliPoint,
+    _selfmap_over,
     build_selfmap,
     classify_field,
     orbit,
@@ -114,6 +115,22 @@ def test_orbit_in_extension_field():
     m = rep.torsion_order
     q = 5**rep.period
     assert (q - 1) % m == 0 or (q + 1) % m == 0
+
+
+@pytest.mark.parametrize("p,k,deg", [(3, 1, 2), (5, 1, 2), (3, 2, 4), (5, 2, 4)])
+def test_embedded_selfmap_equals_fresh_build(p, k, deg):
+    # pushing the reduced map of lambda into F_{p^deg} coefficientwise gives
+    # exactly the map built from scratch at the embedded lambda
+    F, target = FiniteField(p, k), FiniteField(p, deg)
+    for lam in F:
+        if lam.is_zero() or lam.is_one() or (k == 2 and lam.in_prime_field()):
+            continue
+        pushed = _selfmap_over(build_selfmap(lam), target)
+        fresh = build_selfmap(embed(lam, target))
+        assert pushed.lam == fresh.lam and pushed.curve == fresh.curve
+        assert pushed.supersingular == fresh.supersingular
+        assert (pushed.map.num, pushed.map.den) == (fresh.map.num, fresh.map.den)
+        assert pushed.map.den.lc.is_one()
 
 
 def test_period_torsion_report_wrapper():

@@ -266,3 +266,62 @@ def test_random_ring_axioms():
         if not b.is_zero():
             q, r = a.divrem(b)
             assert q * b + r == a
+
+
+def _schoolbook_mul(a, b):
+    zero = a.ring.base.zero
+    out = [zero] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + ai * bj
+    return Poly(a.ring, out)
+
+
+def _schoolbook_divrem(a, b):
+    rem, zero = list(a.coeffs), a.ring.base.zero
+    dq = len(rem) - len(b.coeffs)
+    quot = [zero] * (dq + 1)
+    inv = b.lc.inverse()
+    for shift in range(dq, -1, -1):
+        c = rem[shift + b.degree] * inv
+        quot[shift] = c
+        for i, bc in enumerate(b.coeffs):
+            rem[shift + i] = rem[shift + i] - c * bc
+    return Poly(a.ring, quot), Poly(a.ring, rem[: b.degree])
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (13, 1), (79, 1), (3, 2), (13, 2), (3, 3), (5, 4)])
+def test_finite_field_products_match_schoolbook(p, k):
+    """The packed-integer product and the F_p integer division agree with
+    coefficient-by-coefficient arithmetic, long polynomials included."""
+    rng = random.Random(p * 10 + k)
+    F = FiniteField(p, k)
+    R = PolyRing(F, "x")
+
+    def rand_poly(n):
+        return R.from_coeffs([F.element([rng.randrange(p) for _ in range(k)]) for _ in range(n)])
+
+    for _ in range(40):
+        a, b = rand_poly(rng.randrange(1, 60)), rand_poly(rng.randrange(1, 60))
+        prod = a * b
+        assert prod.coeffs == _schoolbook_mul(a, b).coeffs
+        full = R.from_coeffs([F.element([p - 1] * k)] * 40)
+        assert (full * full).coeffs == _schoolbook_mul(full, full).coeffs
+        if b.degree >= 1 and a.degree >= b.degree:
+            q, r = a.divrem(b)
+            qs, rs = _schoolbook_divrem(a, b)
+            assert q.coeffs == qs.coeffs and r.coeffs == rs.coeffs
+
+
+def test_rational_products_match_schoolbook():
+    """Integer-valued rational coefficients take an integer path; others do not."""
+    rng = random.Random(3)
+    for _ in range(60):
+        den = rng.choice((1, 1, 3))
+        a = QX.from_coeffs([Fraction(rng.randrange(-99, 99)) for _ in range(rng.randrange(1, 12))])
+        b = QX.from_coeffs([Fraction(rng.randrange(-99, 99), den) for _ in range(rng.randrange(1, 12))])
+        n = max(len(a.coeffs), len(b.coeffs))
+        total = Poly(QX, [a.coeff(i) + b.coeff(i) for i in range(n)])
+        for got, want in ((a * b, _schoolbook_mul(a, b)), (a + b, total), (a - a, QX.zero)):
+            assert got.coeffs == want.coeffs
+            assert all(type(c) is Fraction for c in got.coeffs)
