@@ -9,6 +9,7 @@ error, 3 negative verdict, 4 inconclusive.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ from . import detect as detect_mod
 from . import moduli, pvi
 from .fields import FieldError, FiniteField
 from .legendre import CurveError, INF, hasse_polynomial, supersingular_lambdas
+from .poly import ZeroDivisorFound
 from .serialize import value_to_json
 
 EXIT_OK = 0
@@ -26,8 +28,9 @@ EXIT_NEGATIVE = 3
 EXIT_INCONCLUSIVE = 4
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer >= low."""
+def _int_in_range(low: int, high: int | None = None, why: str = ""):
+    """An argparse type: an integer >= low and, if high is given, <= high;
+    `why` names the upper bound in the error message."""
 
     def parse(text: str) -> int:
         try:
@@ -36,6 +39,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if n < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        if high is not None and n > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high} ({why}), got {n}")
         return n
 
     return parse
@@ -233,7 +238,9 @@ LAMBDA_HELP = "a/b, an integer, or a comma coefficient list over F_{p^k}; write 
 Z_HELP = "a/b, an integer, or inf; write a negative fraction as --z=-5/4"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state on it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--out", default=None, help="write the report to a file instead of stdout")
@@ -255,13 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--lambda", dest="lam", required=True, help=LAMBDA_HELP)
     sp.add_argument("--z", required=True, help=Z_HELP)
-    sp.add_argument("--n", type=_int_at_least(0), default=0, help="iterate over F_{p^{2n}} (0: field of lambda)")
+    sp.add_argument("--n", type=_int_in_range(0), default=0, help="iterate over F_{p^{2n}} (0: field of lambda)")
 
     sp = add("census", _cmd_census, help="periodicity census over P^1(F_{p^{2n}})")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--lambda", dest="lam", required=True, help=LAMBDA_HELP)
-    sp.add_argument("--n", type=_int_at_least(1), default=1, help="census P^1(F_{p^{2n}}), n >= 1")
+    sp.add_argument("--n", type=_int_in_range(1), default=1, help="census P^1(F_{p^{2n}}), n >= 1")
     sp.add_argument("--verdicts", action="store_true", help="include torsion-order verdict tallies")
 
     sp = add("supersingular-scan", _cmd_supersingular_scan, help="supersingular lambda in F_{p^2}")
@@ -271,15 +278,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
 
     sp = add("torsion-locus", _cmd_torsion_locus, help="Psi_m as an integer polynomial")
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument(
+        "--m",
+        type=_int_in_range(2, pvi.TORSION_LOCUS_BOUND, "TORSION_LOCUS_BOUND"),
+        required=True,
+        help=f"2 <= m <= {pvi.TORSION_LOCUS_BOUND}",
+    )
 
     sp = add("pvi-check", _cmd_pvi_check, help="exact Painleve VI residual for Psi_m")
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument(
+        "--m",
+        type=_int_in_range(3, pvi.PVI_EXACT_BOUND, "PVI_EXACT_BOUND: the exact residual does not finish beyond it"),
+        required=True,
+        help=f"3 <= m <= {pvi.PVI_EXACT_BOUND}; Psi_2 = x(x-1)(x-lambda) lies on the PVI singular locus",
+    )
 
     sp = add("is-torsion", _cmd_is_torsion, help="certified torsion verdict for rational (lambda, z)")
     sp.add_argument("--lambda", dest="lam", required=True, help="a/b or an integer; write a negative fraction as --lambda=-5/4")
     sp.add_argument("--z", required=True, help=Z_HELP)
-    sp.add_argument("--bound", type=_int_at_least(1), default=detect_mod.DEFAULT_BOUND, help="largest torsion order searched, >= 1")
+    sp.add_argument("--bound", type=_int_in_range(1), default=detect_mod.DEFAULT_BOUND, help="largest torsion order searched, >= 1")
 
     sp = add("verify-all", _cmd_verify_all, help="run the verification sweep")
     sp.add_argument("--pmax", type=int, default=13)
@@ -295,6 +312,10 @@ def main(argv=None) -> int:
     except (FieldError, CurveError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (ZeroDivisorFound, pvi.SingularSolution) as exc:
+        # the parser admits no input that reaches these, so the verification failed
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

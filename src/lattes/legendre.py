@@ -510,7 +510,10 @@ def is_supersingular(lam: FFElement) -> bool:
 def supersingular_lambdas(p: int):
     """All supersingular lambda in F_{p^2} (they never leave it), sorted."""
     field = FiniteField(p, 2)
-    out = [lam for lam in field if not lam.is_zero() and not lam.is_one() and is_supersingular(lam)]
+    if p == 2:
+        raise CurveError("characteristic 2 is excluded")
+    hp = hasse_polynomial(p)
+    out = [lam for lam in field if not lam.is_zero() and not lam.is_one() and hp.evaluate(lam, ring=field).is_zero()]
     return field, sorted(out, key=lambda e: e.coeffs)
 
 

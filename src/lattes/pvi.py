@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import QQ
+from .fields import QQ, FiniteField, is_prime
 from .legendre import SYMBOLIC_LAMBDA_RING, SYMBOLIC_X_RING, division_polynomial
 from .poly import (
     FracField,
@@ -25,11 +25,13 @@ from .poly import (
     QuotientRing,
     discriminant,
     integer_normalize,
-    squarefree_part,
+    poly_gcd,
     to_fraction_coeffs,
 )
 
 TORSION_LOCUS_BOUND = 12
+# the exact residual in Frac(Q[lambda])[x]/(Psi_m) does not finish for m = 5
+PVI_EXACT_BOUND = 4
 
 LAMBDA_FRAC = FracField(SYMBOLIC_LAMBDA_RING)
 QUOTIENT_X_RING = PolyRing(LAMBDA_FRAC, "x")
@@ -70,10 +72,16 @@ def picard_params() -> PVIParams:
 @dataclass(frozen=True)
 class TorsionLocus:
     """The locus of x-coordinates of m-torsion as a primitive squarefree
-    integer polynomial in (x, lambda)."""
+    integer polynomial in (x, lambda).
+
+    ``separable_at`` = (p, lambda_0) names the specialisation at which
+    Psi_m mod p keeps its x-degree and has simple roots, the proof that
+    disc_x(Psi_m) is not identically zero; it is not part of the JSON.
+    """
 
     m: int
     psi: Poly  # over Z (as Fractions), x outer, lambda inner
+    separable_at: tuple[int, int]
 
     def to_json(self):
         return {"m": self.m, "psi": self.psi.to_json(), "deg_x": self.psi.degree}
@@ -84,7 +92,12 @@ _LOCUS_CACHE: dict[int, TorsionLocus] = {}
 
 def torsion_locus(m: int) -> TorsionLocus:
     """Psi_m: for m = 2 the branch locus x(x-1)(x-lambda); for m >= 3 the
-    squarefree primitive part of the x-only division polynomial."""
+    x-only division polynomial psihat_m scaled to integer content 1.
+
+    No gcd is taken: in characteristic 0 the map [m] is separable, so
+    psihat_m has simple roots.  `certify_separable` proves it for this
+    polynomial, and raises if it cannot.
+    """
     if m < 2 or m > TORSION_LOCUS_BOUND:
         raise ValueError(f"torsion locus needs 2 <= m <= {TORSION_LOCUS_BOUND}")
     if m in _LOCUS_CACHE:
@@ -94,10 +107,40 @@ def torsion_locus(m: int) -> TorsionLocus:
         lam = SYMBOLIC_X_RING.coerce(SYMBOLIC_LAMBDA_RING.gen())
         psi = x * (x - 1) * (x - lam)
     else:
-        psi = squarefree_part(division_polynomial(m))
-    locus = TorsionLocus(m, integer_normalize(psi))
+        psi = integer_normalize(division_polynomial(m))
+    locus = TorsionLocus(m, psi, certify_separable(psi, m))
     _LOCUS_CACHE[m] = locus
     return locus
+
+
+def certify_separable(psi: Poly, m: int) -> tuple[int, int]:
+    """Prove an integer polynomial Psi(x, lambda) squarefree and primitive
+    over Q[lambda]; return the (p, lambda_0) the proof used.
+
+    The x-leading coefficient must be a nonzero integer, so the content of
+    Psi in Q[lambda] is a unit.  With p the least odd prime not dividing
+    2*m*lc, Psi(x, lambda_0) mod p must keep its x-degree and be coprime to
+    its derivative: then disc_x(Psi) is nonzero at lambda_0 mod p, hence
+    not identically zero.  For a torsion locus this always succeeds, since
+    for p prime to 2m the reduced curve has m^2 distinct m-torsion points
+    (Washington, Elliptic Curves, 2nd ed., Ch. 3).  Raises ArithmeticError
+    when either condition fails.
+    """
+    lc = psi.lc
+    if lc.degree != 0 or lc.lc.denominator != 1:
+        raise ArithmeticError(f"x-leading coefficient {lc} of Psi_{m} is not a nonzero integer")
+    bad = 2 * m * lc.lc.numerator
+    p = 3
+    while bad % p == 0 or not is_prime(p):
+        p += 2
+    ring = PolyRing(FiniteField(p), "x")
+    lam0 = 2  # not 0 or 1 modulo any odd prime, so the reduced curve is smooth
+    reduced = ring.from_coeffs([c.evaluate(Fraction(lam0)) for c in psi.coeffs])
+    if reduced.degree != psi.degree:
+        raise ArithmeticError(f"Psi_{m} drops x-degree mod {p} at lambda_0 = {lam0}")
+    if poly_gcd(reduced, reduced.derivative()).degree != 0:
+        raise ArithmeticError(f"Psi_{m} has a repeated root mod {p} at lambda_0 = {lam0}")
+    return (p, lam0)
 
 
 def etale_check(m: int) -> dict:

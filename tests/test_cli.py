@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from lattes.cli import EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
+from lattes import pvi
+from lattes.cli import EXIT_FAILED, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, build_parser, main
+from lattes.poly import ZeroDivisorFound
 
 
 def run(argv, capsys):
@@ -174,12 +176,64 @@ def usage_error(argv, capsys):
         (["orbit", "--p", "5", "--lambda", "2", "--z", "3", "--n", "-1"], "--n"),
         (["is-torsion", "--lambda", "2", "--z", "3", "--bound", "0"], "--bound"),
         (["is-torsion", "--lambda", "2", "--z", "3", "--bound", "-5"], "--bound"),
+        (["pvi-check", "--m", "2"], "--m"),
+        (["torsion-locus", "--m", "1"], "--m"),
     ],
 )
 def test_parser_rejects_out_of_range_counts(argv, flag, capsys):
     code, err = usage_error(argv, capsys)
     assert code == EXIT_USAGE
     assert err.count("\n") == 1 and flag in err
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["pvi-check", "--m", "5"], "PVI_EXACT_BOUND"),
+        (["pvi-check", "--m", "12"], "PVI_EXACT_BOUND"),
+        (["torsion-locus", "--m", "13"], "TORSION_LOCUS_BOUND"),
+    ],
+)
+def test_parser_names_the_upper_bound(argv, bound, capsys):
+    code, err = usage_error(argv, capsys)
+    assert code == EXIT_USAGE
+    assert err.count("\n") == 1 and bound in err
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisorFound("x"), pvi.SingularSolution("x is identically 0")])
+def test_pvi_failures_are_one_line_errors(exc, monkeypatch, capsys):
+    def fail(_):
+        raise exc
+
+    monkeypatch.setattr(pvi, "implicit_derivatives", fail)
+    code = main(["pvi-check", "--m", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_FAILED
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+
+
+def test_parser_is_reused_without_leaking_options(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    dest = tmp_path / "report.txt"
+    code, out = run(["hasse-poly", "--p", "3", "--out", str(dest), "--format", "text"], capsys)
+    assert code == EXIT_OK and out == "" and "degree: 1" in dest.read_text()
+    # neither --out nor --format carries over to the next call
+    code, data = run_json(["hasse-poly", "--p", "5"], capsys)
+    assert code == EXIT_OK and data["degree"] == 2
+    _, data = run_json(["census", "--p", "5", "--lambda", "2", "--verdicts"], capsys)
+    assert "verdicts" in data
+    _, data = run_json(["census", "--p", "5", "--lambda", "2"], capsys)
+    assert "verdicts" not in data
+    _, data = run_json(["torsion-locus", "--m", "3"], capsys)
+    assert data["deg_x"] == 4
+    for argv in (["--help"], ["census", "--help"]):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 0
+        assert "usage: lattes" in capsys.readouterr().out
+    code, data = run_json(["hasse-poly", "--p", "3"], capsys)
+    assert code == EXIT_OK and data["degree"] == 1
 
 
 def test_selfmap_rejects_coefficient_list_over_prime_field(capsys):

@@ -2,17 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from lattes.fields import FiniteField
+from lattes.fields import FiniteField, is_prime
 from lattes.legendre import (
     SYMBOLIC_LAMBDA_RING,
     SYMBOLIC_X_RING,
     LegendreCurve,
     division_polynomial,
 )
-from lattes.poly import Poly, ZeroDivisorFound, map_coefficients, poly_gcd
+from lattes.poly import Poly, ZeroDivisorFound, integer_normalize, map_coefficients, poly_gcd, squarefree_part
 from lattes.pvi import (
     PVIParams,
     SingularSolution,
+    certify_separable,
     etale_check,
     implicit_derivatives,
     parameter_grid_scan,
@@ -60,16 +61,34 @@ def test_torsion_locus_m4_squarefree_primitive():
     assert g == 1
     # squarefree in x over Frac(Q(lambda)): gcd(psi, psi') constant
     assert poly_gcd(psi, psi.derivative()).degree == 0
-    # psi-hat_4 = 2 x (x-1) (x-lam) * (quartic); the locus strips the square content
+    # psi-hat_4 has no x(x-1)(x-lam) factor: the locus keeps all six roots
     raw = division_polynomial(4)
-    assert raw.degree == 6 and psi.degree <= 6
+    assert raw.degree == 6 and psi.degree == 6
 
 
-def test_torsion_locus_degree_odd_m():
-    # for odd m the x-degree of psi-hat_m is (m^2 - 1)/2 and it is squarefree
-    for m in [3, 5]:
+def test_torsion_locus_equals_squarefree_part():
+    # the gcd-free locus against the generic subresultant squarefree part
+    for m in range(3, 7):
+        assert torsion_locus(m).psi == integer_normalize(squarefree_part(division_polynomial(m)))
+
+
+def test_torsion_locus_degree_and_certificate():
+    # deg_x psi-hat_m is (m^2 - 1)/2 for odd m and (m^2 - 4)/2 for even m
+    for m in range(3, 13):
         loc = torsion_locus(m)
-        assert loc.psi.degree == (m * m - 1) // 2
+        assert loc.psi.degree == ((m * m - 1) // 2 if m % 2 else (m * m - 4) // 2)
+        p, lam0 = loc.separable_at
+        lc = loc.psi.lc.lc
+        assert lam0 == 2 and is_prime(p) and p > 2 and (2 * m * lc) % p != 0
+        assert all((2 * m * lc) % q == 0 for q in range(3, p, 2) if is_prime(q))
+
+
+def test_separability_check_rejects_non_squarefree_and_non_integral_lead():
+    psi3 = torsion_locus(3).psi
+    with pytest.raises(ArithmeticError, match="repeated root"):
+        certify_separable(psi3 * psi3, 3)
+    with pytest.raises(ArithmeticError, match="not a nonzero integer"):
+        certify_separable(psi3 * X.coerce(L.gen()), 3)
 
 
 def test_torsion_locus_bounds():
