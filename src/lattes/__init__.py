@@ -4,7 +4,7 @@ loci, orbit census, torsion certificates over Q, and residual checks of the
 Painleve VI equation on torsion loci.
 """
 
-from .fields import QQ, FFElement, FieldError, FiniteField, QuadExtField, factorize, is_prime, make_field
+from .fields import QQ, FFElement, FieldError, FiniteField, QuadExtField, factorize, is_prime
 from .legendre import (
     INF,
     CurveError,
@@ -30,7 +30,6 @@ __all__ = [
     "QuadExtField",
     "factorize",
     "is_prime",
-    "make_field",
     "INF",
     "CurveError",
     "CurvePoint",

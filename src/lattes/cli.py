@@ -299,7 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bound", type=_int_in_range(1), default=detect_mod.DEFAULT_BOUND, help="largest torsion order searched, >= 1")
 
     sp = add("verify-all", _cmd_verify_all, help="run the verification sweep")
-    sp.add_argument("--pmax", type=int, default=13)
+    sp.add_argument(
+        "--pmax", type=_int_in_range(3, 47, "the sweep's largest prime"), default=13, help="largest prime swept, 3 <= pmax <= 47"
+    )
 
     return parser
 

@@ -67,11 +67,11 @@ def is_good_prime(lam: Fraction, z, p: int) -> bool:
     return True
 
 
-def good_primes(lam: Fraction, z, count: int = GOOD_PRIME_COUNT) -> list[int]:
-    """The smallest `count` good odd primes, deterministically."""
+def good_primes(lam: Fraction, z) -> list[int]:
+    """The smallest GOOD_PRIME_COUNT good odd primes, deterministically."""
     out = []
     p = 3
-    while len(out) < count and p < _PRIME_SEARCH_LIMIT:
+    while len(out) < GOOD_PRIME_COUNT and p < _PRIME_SEARCH_LIMIT:
         if is_good_prime(lam, z, p):
             out.append(p)
         p += 2
@@ -149,10 +149,3 @@ def _divisors(m: int) -> list[int]:
         if m % d == 0:
             out.append(d)
     return out
-
-
-def detect_rational(lam, z, bound: int = DEFAULT_BOUND) -> TorsionCertificate:
-    """Convenience wrapper taking plain rationals (or INF for z)."""
-    lam = Fraction(lam)
-    z = z if z is INF else Fraction(z)
-    return detect(TorsionQuery(lam, z, bound))

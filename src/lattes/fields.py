@@ -43,6 +43,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def power(base, e: int, one):
+    """base**e for e >= 0 by binary square-and-multiply; one is the identity."""
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
 def factorize(n: int) -> dict[int, int]:
     """Trial-division factorization; desk-scale inputs only."""
     if n <= 0:
@@ -296,7 +308,7 @@ class FFElement:
         f = self.field
         if f.k == 1:
             return FFElement(f, (pow(self.coeffs[0], f.p - 2, f.p),))
-        if f._tables_state == 2:
+        if f._exp is not None:
             return FFElement(f, f._exp[-f._log[self.coeffs] % (f.order - 1)])
         # extended Euclid against the modulus: track s with s*self = gcd mod modulus
         p = f.p
@@ -331,19 +343,12 @@ class FFElement:
         f = self.field
         if f.k == 1:
             return FFElement(f, (pow(self.coeffs[0], e, f.p),))
-        if e >= 8 and f.order <= f.LOG_TABLE_BOUND and f._tables_state != 1:
+        if e >= 8 and f.order <= f.LOG_TABLE_BOUND:
             if self.is_zero():
-                return f.one if e == 0 else self
+                return self
             exp, log = f._log_tables()
             return FFElement(f, exp[(log[self.coeffs] * e) % (f.order - 1)])
-        result = f.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, f.one)
 
     def frobenius(self, n: int = 1):
         """The field automorphism a -> a^(p^n)."""
@@ -382,13 +387,13 @@ class FiniteField:
     char = None  # instance attribute below
     is_finite = True
 
-    def __init__(self, p: int, k: int = 1, modulus=None, max_cardinality=DESK_CARDINALITY_BOUND):
+    def __init__(self, p: int, k: int = 1, modulus=None):
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         if k < 1:
             raise FieldError("degree must be >= 1")
-        if p**k > max_cardinality:
-            raise FieldError(f"cardinality {p}^{k} exceeds the desk-scale bound {max_cardinality}")
+        if p**k > DESK_CARDINALITY_BOUND:
+            raise FieldError(f"cardinality {p}^{k} exceeds the desk-scale bound {DESK_CARDINALITY_BOUND}")
         self.p = p
         self.k = k
         self.char = p
@@ -405,7 +410,6 @@ class FiniteField:
             self.modulus = modulus
         self._exp = None
         self._log = None
-        self._tables_state = 0  # 0 unbuilt, 1 building, 2 ready
 
     LOG_TABLE_BOUND = 1 << 16
 
@@ -424,17 +428,17 @@ class FiniteField:
         """Lazy discrete exp/log tables; they make pow and inverse O(1).
 
         Only built for small fields (full enumeration of the cyclic group),
-        exactly the ones the sweeps iterate over anyway.
+        exactly the ones the sweeps iterate over anyway.  The generator test
+        calls power, not **, which would ask for the tables being built.
         """
-        if self._tables_state != 2:
-            self._tables_state = 1
+        if self._exp is None:
             q = self.order
             fac = factorize(q - 1)
             gen = None
             for cand in self:
                 if cand.is_zero():
                     continue
-                if all(cand ** ((q - 1) // ell) != self.one for ell in fac):
+                if all(power(cand, (q - 1) // ell, self.one) != self.one for ell in fac):
                     gen = cand
                     break
             exp = []
@@ -446,7 +450,6 @@ class FiniteField:
                 acc = acc * gen
             self._exp = exp
             self._log = log
-            self._tables_state = 2
         return self._exp, self._log
 
     def element(self, coeffs) -> FFElement:
@@ -619,14 +622,7 @@ class QuadExtElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self.field.one)
 
     def __eq__(self, other):
         if isinstance(other, QuadExtElement):
@@ -661,8 +657,15 @@ class QuadExtField:
         self.char = base.p
         self.k = 2 * base.k
         self.order = base.order**2
-        self.zero = QuadExtElement(self, base.zero, base.zero)
-        self.one = QuadExtElement(self, base.one, base.zero)
+
+    # built on each use: a stored element would refer back to its field
+    @property
+    def zero(self):
+        return QuadExtElement(self, self.base.zero, self.base.zero)
+
+    @property
+    def one(self):
+        return QuadExtElement(self, self.base.one, self.base.zero)
 
     def gen(self):
         return QuadExtElement(self, self.base.zero, self.base.one)
@@ -689,29 +692,7 @@ class QuadExtField:
 
 
 # ---------------------------------------------------------------------------
-# convenience operation wrappers
-
-
-def make_field(p: int, k: int, max_cardinality=DESK_CARDINALITY_BOUND) -> FiniteField:
-    """F_{p^k} with the deterministic least irreducible modulus."""
-    return FiniteField(p, k, max_cardinality=max_cardinality)
-
-
-def invert(a: FFElement) -> FFElement:
-    return a.inverse()
-
-
-def is_square_sqrt(a):
-    """Square root with deterministic tie-break, or None (0 maps to 0)."""
-    if isinstance(a, Fraction):
-        return rational_sqrt(a)
-    if isinstance(a, QuadExtElement):
-        raise FieldError("square roots in quadratic extensions are out of scope")
-    return a.field.sqrt(a)
-
-
-def frobenius(a: FFElement, n: int = 1) -> FFElement:
-    return a.frobenius(n)
+# Frobenius and embeddings
 
 
 def frobenius_table(field: FiniteField, n: int = 1) -> list[tuple[int, ...]]:

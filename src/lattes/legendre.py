@@ -12,17 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .fields import (
-    QQ,
-    FFElement,
-    FieldError,
-    FiniteField,
-    QuadExtField,
-    factorize,
-    is_prime,
-    rational_sqrt,
-)
-from .poly import Poly, PolyRing, RationalFunction, poly_gcd
+from .fields import QQ, FFElement, FiniteField, QuadExtField, factorize, is_prime, rational_sqrt
+from .poly import Poly, PolyRing, RationalFunction
 
 
 class _InfinityType:
@@ -219,13 +210,13 @@ class LegendreCurve:
 
     # -- counting and orders
 
-    def count_and_trace(self, bound=POINT_COUNT_BOUND):
+    def count_and_trace(self):
         """Brute-force (#C(F_q), trace) by enumerating x; the counting oracle."""
         base = self.base
         if not getattr(base, "is_finite", False) or isinstance(base, QuadExtField):
             raise CurveError("count_and_trace needs an enumerable finite base field")
-        if base.order > bound:
-            raise CurveError(f"field size {base.order} exceeds the counting bound {bound}")
+        if base.order > POINT_COUNT_BOUND:
+            raise CurveError(f"field size {base.order} exceeds the counting bound {POINT_COUNT_BOUND}")
         if "count" not in self._counts:
             squares = set()
             for e in base:
@@ -321,25 +312,6 @@ def extension_order(q: int, trace: int, n: int) -> int:
     for _ in range(n - 1):
         a_prev, a_cur = a_cur, trace * a_cur - q * a_prev
     return q**n + 1 - a_cur
-
-
-def curve_make(base, lam) -> LegendreCurve:
-    return LegendreCurve(base, lam)
-
-
-def group_law(P: CurvePoint, Q: CurvePoint, op: str):
-    curve = P.curve
-    if op == "add":
-        return curve.add(P, Q)
-    if op == "neg":
-        return -P
-    if op == "double":
-        return curve.double(P)
-    raise ValueError(f"unknown group op {op!r}")
-
-
-def scalar_mul(m: int, P: CurvePoint) -> CurvePoint:
-    return P.curve.scalar_mul(m, P)
 
 
 # ---------------------------------------------------------------------------
@@ -553,12 +525,6 @@ class _BoundedInt:
             max(self.degx, other.degx),
             max(self.degl, other.degl),
         )
-
-    def pow(self, e):
-        out = _BoundedInt(1, 1, 0, 0)
-        for _ in range(e):
-            out = out * self
-        return out
 
 
 def _integer_bivariate(P: Poly):

@@ -12,7 +12,7 @@ of lifted points against the orbit period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import FFElement, FiniteField, apply_frobenius_table, embed, frobenius_table
@@ -88,12 +88,12 @@ class SelfMap:
 
     __slots__ = ("p", "lam", "map", "curve", "supersingular")
 
-    def __init__(self, p: int, lam: FFElement, mp: RationalFunction, curve: LegendreCurve):
+    def __init__(self, p: int, lam: FFElement, mp: RationalFunction, curve: LegendreCurve, supersingular: bool):
         self.p = p
         self.lam = lam
         self.map = mp
         self.curve = curve
-        self.supersingular = is_supersingular(lam)
+        self.supersingular = supersingular
 
     @property
     def generic_degree(self) -> int:
@@ -112,11 +112,6 @@ class SelfMap:
         return num.degree == e and num.lc.is_one() and all(num.coeff(i).is_zero() for i in range(e))
 
     def __call__(self, z):
-        if self.is_pth_power_monomial():
-            # fast path: x^{p^2} is a bijection fixing INF
-            if z is INF:
-                return INF
-            return z ** (self.p * self.p)
         return self.map.eval_proj(z)
 
     def to_json(self):
@@ -142,7 +137,7 @@ def build_selfmap(lam: FFElement, p: int | None = None) -> SelfMap:
         raise CurveError("p must be an odd prime")
     curve = LegendreCurve(field, lam)
     mp = mult_x_map(p, curve)
-    return SelfMap(p, lam, mp, curve)
+    return SelfMap(p, lam, mp, curve, is_supersingular(lam))
 
 
 @dataclass
@@ -150,12 +145,12 @@ class OrbitReport:
     z: object
     tail: int
     period: int
-    torsion_order: int | None = None
-    divides_pf_minus_1: bool | None = None
-    divides_pf_plus_1: bool | None = None
-    equals_pf_minus_1: bool | None = None
-    gcd_with_p: int | None = None
-    cycle: list = dataclass_field(default_factory=list)
+    torsion_order: int
+    divides_pf_minus_1: bool
+    divides_pf_plus_1: bool
+    equals_pf_minus_1: bool
+    gcd_with_p: int
+    cycle: list
 
     def to_json(self):
         return {
@@ -194,12 +189,33 @@ def _selfmap_over(sm: SelfMap, field: FiniteField) -> SelfMap:
 
     ring = PolyRing(field, "x")
     mp = RationalFunction(sm.map.num.map_coeffs(phi, ring), sm.map.den.map_coeffs(phi, ring), reduce=False)
-    return SelfMap(sm.p, lam, mp, LegendreCurve(field, lam))
+    return SelfMap(sm.p, lam, mp, LegendreCurve(field, lam), sm.supersingular)
 
 
 def _proj_points(field: FiniteField):
     yield INF
     yield from field
+
+
+def _walk(z, step, seen: dict):
+    """Follow step from z until it reaches a point of seen, numbering each new
+    point in seen as it goes.  Returns the new points in order and the
+    position among them of the point the walk closed on, or None when the
+    walk ran into a point of an earlier walk sharing seen."""
+    start = len(seen)
+    path = []
+    while z not in seen:
+        seen[z] = start + len(path)
+        path.append(z)
+        z = step(z)
+    first = seen[z] - start
+    return path, first if first >= 0 else None
+
+
+def _torsion_flags(m: int, p: int, f: int):
+    """Whether m divides p^f - 1, divides p^f + 1, and equals p^f - 1."""
+    q = p**f
+    return (q - 1) % m == 0, (q + 1) % m == 0, m == q - 1
 
 
 def orbit(z, sm: SelfMap, field: FiniteField | None = None) -> OrbitReport:
@@ -215,32 +231,14 @@ def orbit(z, sm: SelfMap, field: FiniteField | None = None) -> OrbitReport:
     sm = _selfmap_over(sm, field)
     if z is not INF:
         z = field.coerce(z)
-    seen = {}
-    w = z
-    trajectory = []
-    while w not in seen:
-        seen[w] = len(trajectory)
-        trajectory.append(w)
-        w = sm(w)
-    first = seen[w]
-    tail = first
-    period = len(trajectory) - first
-    report = OrbitReport(z=z, tail=tail, period=period, cycle=trajectory[first:])
-
+    path, first = _walk(z, sm, {})
+    period = len(path) - first
     m = sm.curve.x_order(z)
-    report.torsion_order = m
-    f = period
-    q = sm.p**f
-    report.divides_pf_minus_1 = (q - 1) % m == 0
-    report.divides_pf_plus_1 = (q + 1) % m == 0
-    report.equals_pf_minus_1 = m == q - 1
-    report.gcd_with_p = sm.p if m % sm.p == 0 else 1
-    return report
+    flags = _torsion_flags(m, sm.p, period)
+    return OrbitReport(z, first, period, m, *flags, gcd_with_p=sm.p if m % sm.p == 0 else 1, cycle=path[first:])
 
 
-def period_torsion_report(z, lam: FFElement, p: int | None = None, field: FiniteField | None = None) -> OrbitReport:
-    """orbit() packaged for the period-vs-torsion-order comparison."""
-    return orbit(z, build_selfmap(lam, p), field=field)
+VERDICT_KEYS = ("div_pf_minus_1", "div_pf_plus_1", "equal_pf_minus_1")
 
 
 def classify_field(lam: FFElement, p: int | None = None, n: int = 1, with_torsion: bool = False) -> dict:
@@ -259,49 +257,23 @@ def classify_field(lam: FFElement, p: int | None = None, n: int = 1, with_torsio
     target = FiniteField(p, deg) if deg > 1 else lam.field
     sm_t = _selfmap_over(sm, target)
 
-    points = list(_proj_points(target))
-    index = {pt: i for i, pt in enumerate(points)}
-    succ = [index[sm_t(pt)] for pt in points]
-
-    # peel non-periodic nodes by repeated in-degree-0 removal
-    indeg = [0] * len(points)
-    for j in succ:
-        indeg[j] += 1
-    stack = [i for i, d in enumerate(indeg) if d == 0]
-    removed = [False] * len(points)
-    while stack:
-        i = stack.pop()
-        removed[i] = True
-        j = succ[i]
-        indeg[j] -= 1
-        if indeg[j] == 0:
-            stack.append(j)
-    periodic = [i for i in range(len(points)) if not removed[i]]
-
+    # walk from each point not yet seen; a walk that meets itself closes a new cycle
+    seen = {}
+    periodic = 0
     histogram: dict[int, int] = {}
-    visited = set()
-    verdicts = {"div_pf_minus_1": 0, "div_pf_plus_1": 0, "equal_pf_minus_1": 0}
-    for i in periodic:
-        if i in visited:
+    verdicts = dict.fromkeys(VERDICT_KEYS, 0)
+    for z in _proj_points(target):
+        path, first = _walk(z, sm_t, seen)
+        if first is None:
             continue
-        cycle = [i]
-        j = succ[i]
-        while j != i:
-            cycle.append(j)
-            j = succ[j]
-        visited.update(cycle)
+        cycle = path[first:]
         f = len(cycle)
+        periodic += f
         histogram[f] = histogram.get(f, 0) + f
         if with_torsion:
-            for idx in cycle:
-                m = sm_t.curve.x_order(points[idx])
-                q = p**f
-                if (q - 1) % m == 0:
-                    verdicts["div_pf_minus_1"] += 1
-                if (q + 1) % m == 0:
-                    verdicts["div_pf_plus_1"] += 1
-                if m == q - 1:
-                    verdicts["equal_pf_minus_1"] += 1
+            for w in cycle:
+                for key, hit in zip(VERDICT_KEYS, _torsion_flags(sm_t.curve.x_order(w), p, f)):
+                    verdicts[key] += hit
 
     expected = p**deg + 1
     out = {
@@ -309,8 +281,8 @@ def classify_field(lam: FFElement, p: int | None = None, n: int = 1, with_torsio
         "lambda": value_to_json(lam),
         "n": n,
         "supersingular": sm.supersingular,
-        "periodic": len(periodic),
-        "preperiodic": len(points) - len(periodic),
+        "periodic": periodic,
+        "preperiodic": len(seen) - periodic,
         "expected": expected,
         "period_histogram": {str(f): c for f, c in sorted(histogram.items())},
     }

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .fields import QQ, FFElement, FieldError, FiniteField
+from .fields import QQ, FFElement, FieldError, FiniteField, power
 
 
 class ZeroDivisorFound(ArithmeticError):
@@ -225,14 +225,7 @@ class Poly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self.ring.one)
 
     def scale(self, c):
         c = self.ring.base.coerce(c)
@@ -509,7 +502,7 @@ def pseudo_divrem(a: Poly, b: Poly):
         q = q.scale(lb) + t
         r = r.scale(lb) - t * b
         e -= 1
-    s = _coeff_pow(lb, e)
+    s = lb**e
     return q.scale(s), r.scale(s)
 
 
@@ -526,21 +519,12 @@ def _subresultant_prs(a: Poly, b: Poly):
         rem = pseudo_divrem(prs[-2], prs[-1])[1]
         if rem.is_zero():
             return prs
-        divisor = _coeff_mul(g, _coeff_pow(h, d))
+        divisor = g * h**d
         rem = Poly(rem.ring, tuple(_coeff_exact_div(c, divisor) for c in rem.coeffs))
         lead = prs[-1].lc
         prs.append(rem)
         g = lead
         h = _coeff_hpow(h, g, d)
-
-
-def _coeff_pow(c, e):
-    r = c**e if e >= 0 else None
-    return r
-
-
-def _coeff_mul(a, b):
-    return a * b
 
 
 def _coeff_exact_div(a, b):
@@ -596,24 +580,21 @@ def _resultant_field(a: Poly, b: Poly):
         r = a % b
         if r.is_zero():
             return base.zero
-        res = res * _coeff_pow(b.lc, a.degree - r.degree)
+        res = res * b.lc ** (a.degree - r.degree)
         if (a.degree * b.degree) % 2 == 1:
             res = -res
         a, b = b, r
-    res = res * _coeff_pow(b.lc, a.degree)
+    res = res * b.lc**a.degree
     return res if sign == 1 else -res
 
 
-def discriminant(f: Poly, lc_normalize=True):
+def discriminant(f: Poly):
     """Res(f, f')/lc(f); degree-1 inputs give 1 per the artifact convention."""
     if f.degree < 1:
         raise ArithmeticError("discriminant needs degree >= 1")
     if f.degree == 1:
         return f.ring.base.one
-    r = resultant(f, f.derivative())
-    if lc_normalize:
-        return _coeff_exact_div(r, f.lc)
-    return r
+    return _coeff_exact_div(resultant(f, f.derivative()), f.lc)
 
 
 def squarefree_part(f: Poly) -> Poly:
@@ -697,7 +678,8 @@ def map_coefficients(f: Poly, target_field) -> Poly:
 
 
 class RationalFunction:
-    """Reduced fraction of polynomials over a field-coefficient ring."""
+    """Fraction of polynomials, reduced with a monic denominator unless
+    reduce=False; reducing needs a field-coefficient ring."""
 
     __slots__ = ("num", "den")
 
@@ -707,19 +689,13 @@ class RationalFunction:
         if num.ring != den.ring:
             raise ArithmeticError("numerator/denominator ring mismatch")
         if reduce:
-            if _field_coeffs(num.ring):
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
-                inv = _invert_coeff(den.lc)
-                num = num.scale(inv)
-                den = den.scale(inv)
-            else:
-                g = poly_gcd(num, den)
-                if g.degree > 0 or not _is_unit_content(g):
-                    num = _primitive_like_div(num, g)
-                    den = _primitive_like_div(den, g)
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num = num.exact_div(g)
+                den = den.exact_div(g)
+            inv = _invert_coeff(den.lc)
+            num = num.scale(inv)
+            den = den.scale(inv)
         self.num = num
         self.den = den
 
@@ -837,18 +813,12 @@ class RationalFunction:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
 
-def _is_unit_content(g: Poly):
-    return g.degree == 0
-
-
-def _primitive_like_div(f: Poly, g: Poly) -> Poly:
-    if g.degree == 0 and _field_coeffs(f.ring):
-        return f.scale(_invert_coeff(g.lc))
-    return _primitive_exact_div(f, g) if not _field_coeffs(f.ring) else f.exact_div(g)
-
-
 class FracField:
-    """Fraction field of R[var]; elements are RationalFunction values."""
+    """Fraction field of R[var]; elements are RationalFunction values.
+
+    A RationalFunction does not refer to its FracField, so zero and one are
+    stored without making the field a reference cycle.
+    """
 
     def __init__(self, polyring: PolyRing):
         self.polyring = polyring
@@ -880,9 +850,9 @@ class FracField:
         return f"Frac({self.polyring!r})"
 
 
-def to_fraction_coeffs(f: Poly, frac: FracField, var=None) -> Poly:
+def to_fraction_coeffs(f: Poly, frac: FracField) -> Poly:
     """Lift a Poly over R[l] in x to a Poly over Frac(R[l]) in x."""
-    ring = PolyRing(frac, var or f.ring.var)
+    ring = PolyRing(frac, f.ring.var)
     return f.map_coeffs(frac.coerce, ring)
 
 
@@ -932,8 +902,15 @@ class QuotientRing:
             raise ArithmeticError("quotient modulus must have positive degree")
         self.modulus = modulus
         self.polyring = modulus.ring
-        self.zero = QuotientElement(self, self.polyring.zero)
-        self.one = QuotientElement(self, self.polyring.one)
+
+    # built on each use: a stored element would refer back to its ring
+    @property
+    def zero(self):
+        return QuotientElement(self, self.polyring.zero)
+
+    @property
+    def one(self):
+        return QuotientElement(self, self.polyring.one)
 
     def element(self, poly) -> "QuotientElement":
         poly = self.polyring.coerce(poly)
@@ -1030,14 +1007,7 @@ class QuotientElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self.ring.one)
 
     def __eq__(self, other):
         o = self._coerce_other(other)
@@ -1050,39 +1020,6 @@ class QuotientElement:
 
     def __repr__(self):
         return f"[{self.poly!r}]"
-
-
-def quotient_ops(a: QuotientElement, b: QuotientElement, op: str):
-    """Named-operation dispatcher over the quotient ring arithmetic."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "invert":
-        return a.inverse()
-    raise ValueError(f"unknown quotient op {op!r}")
-
-
-def poly_arith(a: Poly, b: Poly, op: str):
-    """Named-operation dispatcher: add, sub, mul, divrem."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "divrem":
-        return a.divrem(b)
-    raise ValueError(f"unknown poly op {op!r}")
-
-
-def resultant_discriminant(F: Poly, var: str):
-    """Discriminant of bivariate F in the named variable (x or the lambda layer)."""
-    if var == F.ring.var:
-        return discriminant(F)
-    if isinstance(F.ring.base, PolyRing) and var == F.ring.base.var:
-        return discriminant(swap_variables(F))
-    raise ArithmeticError(f"variable {var!r} not present")
 
 
 def swap_variables(F: Poly) -> Poly:

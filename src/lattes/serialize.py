@@ -2,8 +2,8 @@
 
 Rationals become "num/den" strings (plain "n" when integral), finite-field
 elements become their coefficient lists, and the point at infinity of P^1
-is the string "inf".  Everything round-trips through value_from_json given
-the field the value lives in.
+is the string "inf".  A finite-field value is read back with
+FiniteField.element, a rational with Fraction.
 """
 
 from __future__ import annotations
@@ -26,26 +26,3 @@ def value_to_json(v):
         return v.to_json()
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
-
-def value_from_json(data, field=None):
-    from .legendre import INF
-
-    if data == "inf":
-        return INF
-    if isinstance(data, str):
-        if "/" in data:
-            n, d = data.split("/")
-            v = Fraction(int(n), int(d))
-        else:
-            v = Fraction(int(data))
-        return v if field is None else field.coerce(v)
-    if isinstance(data, list):
-        if field is None:
-            raise ValueError("a field is required to decode coefficient lists")
-        return field.element(data)
-    raise TypeError(f"cannot decode {data!r}")
-
-
-def parse_rational(text: str) -> Fraction:
-    """Accepts 'a', 'a/b' and decimal-free signs; used by the CLI."""
-    return Fraction(text)

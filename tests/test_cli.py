@@ -178,6 +178,9 @@ def usage_error(argv, capsys):
         (["is-torsion", "--lambda", "2", "--z", "3", "--bound", "-5"], "--bound"),
         (["pvi-check", "--m", "2"], "--m"),
         (["torsion-locus", "--m", "1"], "--m"),
+        (["verify-all", "--pmax", "-5"], "--pmax"),
+        (["verify-all", "--pmax", "2"], "--pmax"),
+        (["verify-all", "--pmax", "48"], "--pmax"),
     ],
 )
 def test_parser_rejects_out_of_range_counts(argv, flag, capsys):

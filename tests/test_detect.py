@@ -5,7 +5,6 @@ import pytest
 from lattes.detect import (
     TorsionQuery,
     detect,
-    detect_rational,
     good_primes,
     is_good_prime,
     local_order,
@@ -49,7 +48,7 @@ def test_local_order_examples():
 
 
 def test_detect_torsion_order_3():
-    cert = detect_rational(Fraction(27, 32), Fraction(9, 8))
+    cert = detect(TorsionQuery(Fraction(27, 32), Fraction(9, 8)))
     assert cert.verdict == "torsion"
     assert cert.order == 3
     assert "psihat_3" in cert.witness
@@ -58,21 +57,21 @@ def test_detect_torsion_order_3():
 
 
 def test_detect_branch_point():
-    cert = detect_rational(Fraction(2), Fraction(0))
+    cert = detect(TorsionQuery(Fraction(2), Fraction(0)))
     assert cert.verdict == "torsion" and cert.order == 2
-    cert = detect_rational(Fraction(2), Fraction(1))
+    cert = detect(TorsionQuery(Fraction(2), Fraction(1)))
     assert cert.verdict == "torsion" and cert.order == 2
-    cert = detect_rational(Fraction(2), Fraction(2))  # z = lambda
+    cert = detect(TorsionQuery(Fraction(2), Fraction(2)))  # z = lambda
     assert cert.verdict == "torsion" and cert.order == 2
 
 
 def test_detect_infinity():
-    cert = detect_rational(Fraction(2), INF)
+    cert = detect(TorsionQuery(Fraction(2), INF))
     assert cert.verdict == "torsion" and cert.order == 1
 
 
 def test_detect_non_torsion():
-    cert = detect_rational(Fraction(2), Fraction(3))
+    cert = detect(TorsionQuery(Fraction(2), Fraction(3)))
     assert cert.verdict == "non-torsion"
     assert cert.bound == 64
     assert len(cert.primes) == 5
@@ -84,7 +83,7 @@ def test_detect_non_torsion():
 def test_detect_4_torsion():
     # lambda = x^2 makes (x, ...) a 4-torsion point: [2](x,.) = (0,0)
     x = Fraction(3)
-    cert = detect_rational(x * x, x)
+    cert = detect(TorsionQuery(x * x, x))
     assert cert.verdict == "torsion"
     assert cert.order == 4
     assert psihat_eval(4, x * x, x) == 0
@@ -93,14 +92,14 @@ def test_detect_4_torsion():
 def test_detect_certificate_shrinks_to_exact_order():
     # psihat_12 also vanishes at a 4-torsion x; the certificate must say 4
     x = Fraction(5)
-    cert = detect_rational(x * x, x, bound=64)
+    cert = detect(TorsionQuery(x * x, x, bound=64))
     assert cert.order == 4
 
 
 def test_bound_lowering():
     # with bound < 3 no candidate order is ever tested; the 3-torsion sample
     # escapes detection and the verdict honestly reports only the bound
-    cert = detect_rational(Fraction(27, 32), Fraction(9, 8), bound=2)
+    cert = detect(TorsionQuery(Fraction(27, 32), Fraction(9, 8), bound=2))
     assert cert.verdict == "non-torsion"
     assert cert.bound == 2
 
@@ -111,7 +110,7 @@ def test_detect_takes_query_object():
 
 
 def test_certificate_serialization():
-    cert = detect_rational(Fraction(2), Fraction(3))
+    cert = detect(TorsionQuery(Fraction(2), Fraction(3)))
     data = cert.to_json()
     assert data["verdict"] == "non-torsion"
     assert data["primes"] == cert.primes

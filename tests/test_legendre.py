@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lattes.fields import FiniteField, QuadExtField
+from lattes.fields import QQ, FiniteField, QuadExtField
 from lattes.legendre import (
     INF,
     SYMBOLIC_LAMBDA_RING,
@@ -14,17 +14,15 @@ from lattes.legendre import (
     LegendreCurve,
     division_polynomial,
     extension_order,
-    group_law,
     hasse_polynomial,
     is_supersingular,
     mult_x_map,
     psihat_eval,
-    scalar_mul,
     supersingular_lambdas,
     verify_composition,
     _composition_holds,
 )
-from lattes.poly import PolyRing, RationalFunction
+from lattes.poly import FracField, PolyRing, QuotientRing, RationalFunction
 
 
 def brute_points(curve):
@@ -109,7 +107,8 @@ def test_scalar_mul_vs_repeated_addition():
             assert c.scalar_mul(m, P) == acc
             assert c.scalar_mul(-m, P) == c.neg(acc)
             acc = c.add(acc, P)
-    assert scalar_mul(3, c.point(*_some_affine(c))) == c.scalar_mul(3, c.point(*_some_affine(c)))
+    P = c.point(*_some_affine(c))
+    assert c.scalar_mul(3, P) == c.add(c.double(P), P)
 
 
 def _some_affine(curve):
@@ -274,8 +273,8 @@ def test_group_law_dispatcher():
     F5 = FiniteField(5)
     c = LegendreCurve(F5, F5.coerce(2))
     P = c.lift_x(F5.coerce(3))[0]
-    assert group_law(P, P, "add") == c.double(P)
-    assert group_law(P, c.neg(P), "add").is_infinity
+    assert c.add(P, P) == c.double(P)
+    assert c.add(P, c.neg(P)).is_infinity
 
 
 def test_hasse_polynomial_oracles():
@@ -340,8 +339,9 @@ def test_verify_composition_small():
 
 
 def test_temporaries_are_freed_without_the_cycle_collector():
-    """Fields, polynomial rings and curves hold no reference cycles, so what a
-    sweep builds (log tables included) goes as soon as it is dropped."""
+    """Fields, polynomial rings, quotient rings and curves hold no reference
+    cycles, so what a sweep builds (log tables included) goes as soon as it
+    is dropped."""
     gc.disable()
     try:
         F = FiniteField(7, 2)
@@ -350,9 +350,16 @@ def test_temporaries_are_freed_without_the_cycle_collector():
         curve.scalar_mul(5, curve.random_point(random.Random(1)))
         R = PolyRing(F, "x")
         (R.gen() + R.one) ** 3 % (R.gen() ** 2 + R.one)
-        refs = [weakref.ref(o) for o in (F, curve, R)]
-        del F, curve, R
-        assert [r() for r in refs] == [None, None, None]
+        # the ring pvi-check works in: Frac(Q[l])[x]/(x^2 - l)
+        K = FracField(PolyRing(QQ, "l"))
+        Q = QuotientRing(PolyRing(K, "x").from_coeffs([-K.gen(), K.zero, K.one]))
+        t = Q.element(Q.polyring.gen())
+        assert (t**3 + Q.one) * t.inverse() == t * t + Q.one / t
+        E = QuadExtField(FiniteField(7), FiniteField(7).coerce(3))
+        assert (E.gen() + E.one) ** 48 == E.one and E.gen() * E.gen().inverse() == E.one
+        refs = [weakref.ref(o) for o in (F, curve, R, K, Q, E)]
+        del F, curve, R, K, Q, t, E
+        assert [r() for r in refs] == [None] * 6
     finally:
         gc.enable()
 

@@ -10,7 +10,6 @@ from lattes.moduli import (
     build_selfmap,
     classify_field,
     orbit,
-    period_torsion_report,
     stability_check,
     supersingular_identity_check,
 )
@@ -135,8 +134,38 @@ def test_embedded_selfmap_equals_fresh_build(p, k, deg):
 
 def test_period_torsion_report_wrapper():
     F5 = FiniteField(5)
-    rep = period_torsion_report(F5.coerce(3), F5.coerce(2))
+    rep = orbit(F5.coerce(3), build_selfmap(F5.coerce(2)))
     assert rep.period == 1 and rep.torsion_order == 4
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_census_matches_per_point_orbits(p):
+    # the census's single walk against a tally of orbit() from every point
+    # of P^1(F_{p^2}), at every lambda in F_{p^2}, ordinary and supersingular
+    target = FiniteField(p, 2)
+    kinds = set()
+    for lam in target:
+        if lam.is_zero() or lam.is_one():
+            continue
+        lam = FiniteField(p).coerce(lam.lift_int()) if lam.in_prime_field() else lam
+        census = classify_field(lam, n=1, with_torsion=True)
+        kinds.add(census["supersingular"])
+        sm = build_selfmap(lam)
+        periodic, histogram = 0, {}
+        verdicts = {"div_pf_minus_1": 0, "div_pf_plus_1": 0, "equal_pf_minus_1": 0}
+        for z in [INF] + list(target):
+            rep = orbit(z, sm, field=target)
+            if rep.tail == 0:
+                periodic += 1
+                histogram[str(rep.period)] = histogram.get(str(rep.period), 0) + 1
+                verdicts["div_pf_minus_1"] += rep.divides_pf_minus_1
+                verdicts["div_pf_plus_1"] += rep.divides_pf_plus_1
+                verdicts["equal_pf_minus_1"] += rep.equals_pf_minus_1
+        assert census["periodic"] == periodic
+        assert census["preperiodic"] == p * p + 1 - periodic
+        assert census["period_histogram"] == dict(sorted(histogram.items(), key=lambda kv: int(kv[0])))
+        assert census["verdicts"] == verdicts
+    assert kinds == {True, False}
 
 
 def test_census_supersingular_counts():
