@@ -109,7 +109,7 @@ def _cmd_orbit(args) -> int:
     field = FiniteField(args.p, args.k)
     lam = _parse_lambda(args.lam, field)
     sm = moduli.build_selfmap(lam, args.p)
-    target = FiniteField(args.p, 2 * args.n) if args.n else field
+    target = FiniteField(args.p, 2 * args.n) if 2 * args.n not in (0, args.k) else field
     z = _parse_proj(args.z, target)
     report = moduli.orbit(z, sm, field=target)
     _emit(report.to_json(), args)
@@ -151,22 +151,28 @@ def _cmd_torsion_locus(args) -> int:
     return EXIT_OK
 
 
-def _cmd_pvi_check(args) -> int:
-    locus = pvi.torsion_locus(args.m)
+def _pvi_verdict(m: int):
+    """The PVI report for Psi_m and its verdict: the residual vanishes at the
+    Picard parameters but not at (0, 0, 0, 0), and the locus is etale."""
+    locus = pvi.torsion_locus(m)
     cand = pvi.implicit_derivatives(locus.psi)
     params = pvi.picard_params()
     residual = pvi.pvi_residual(cand, params)
     control = pvi.pvi_residual(cand, pvi.PVIParams(Fraction(0), Fraction(0), Fraction(0), Fraction(0)))
-    etale = pvi.etale_check(args.m)
-    ok = residual.is_zero() and not control.is_zero() and etale["etale"]
+    etale = pvi.etale_check(m)
     report = {
-        "m": args.m,
+        "m": m,
         "params": params.to_json(),
         "residual_zero": residual.is_zero(),
         "control_nonzero": not control.is_zero(),
         "etale": etale["etale"],
         "disc_roots": (["0"] if etale.get("lambda_multiplicity") else []) + (["1"] if etale.get("lambda_minus_1_multiplicity") else []),
     }
+    return report, report["residual_zero"] and report["control_nonzero"] and report["etale"]
+
+
+def _cmd_pvi_check(args) -> int:
+    report, ok = _pvi_verdict(args.m)
     _emit(report, args)
     return EXIT_OK if ok else EXIT_FAILED
 
@@ -212,11 +218,7 @@ def _cmd_verify_all(args) -> int:
             )
 
     for m in (3, 4):
-        locus = pvi.torsion_locus(m)
-        cand = pvi.implicit_derivatives(locus.psi)
-        residual = pvi.pvi_residual(cand, pvi.picard_params())
-        etale = pvi.etale_check(m)
-        record(f"pvi-residual m={m}", residual.is_zero() and etale["etale"])
+        record(f"pvi-residual m={m}", _pvi_verdict(m)[1])
 
     for lam, z, expected, order in (
         (Fraction(27, 32), Fraction(9, 8), "torsion", 3),

@@ -296,9 +296,12 @@ class FFElement:
             (a0, a1), (b0, b1), (m0, m1, _) = self.coeffs, other.coeffs, f.modulus
             hi = a1 * b1
             return FFElement(f, ((a0 * b0 - m0 * hi) % f.p, (a0 * b1 + a1 * b0 - m1 * hi) % f.p))
-        prod = _gf_mul(list(self.coeffs), list(other.coeffs), f.p)
-        red = _gf_divmod(prod, list(f.modulus), f.p)[1]
-        return FFElement(f, tuple(red) + (0,) * (f.k - len(red)))
+        prod = [0] * (2 * f.k - 1)
+        for i, ai in enumerate(self.coeffs):
+            if ai:
+                for j, bj in enumerate(other.coeffs):
+                    prod[i + j] += ai * bj
+        return f.reduce(prod)
 
     __rmul__ = __mul__
 
@@ -308,25 +311,7 @@ class FFElement:
         f = self.field
         if f.k == 1:
             return FFElement(f, (pow(self.coeffs[0], f.p - 2, f.p),))
-        if f._exp is not None:
-            return FFElement(f, f._exp[-f._log[self.coeffs] % (f.order - 1)])
-        # extended Euclid against the modulus: track s with s*self = gcd mod modulus
-        p = f.p
-        a, b = list(f.modulus), _gf_trim(list(self.coeffs))
-        s0, s1 = [], [1]
-        while b:
-            q, r = _gf_divmod(a, b, p)
-            a, b = b, r
-            qs1 = _gf_mul(q, s1, p)
-            diff = [0] * max(len(s0), len(qs1))
-            for i in range(len(diff)):
-                diff[i] = ((s0[i] if i < len(s0) else 0) - (qs1[i] if i < len(qs1) else 0)) % p
-            s0, s1 = s1, _gf_trim(diff)
-        # a is the gcd (a nonzero constant since the modulus is irreducible)
-        c = pow(a[0], p - 2, p)
-        inv = [v * c % p for v in s0]
-        inv = _gf_divmod(inv, list(f.modulus), p)[1]
-        return FFElement(f, tuple(inv) + (0,) * (f.k - len(inv)))
+        return self ** (f.order - 2)
 
     def __truediv__(self, other):
         o = self._coerce_other(other)
@@ -355,10 +340,6 @@ class FFElement:
         f = self.field
         n %= f.k
         return self ** (f.p**n)
-
-    def sqrt(self):
-        """A square root, or None; ties broken by least coefficient vector."""
-        return self.field.sqrt(self)
 
     # -- hashing / display
 
@@ -453,13 +434,29 @@ class FiniteField:
         return self._exp, self._log
 
     def element(self, coeffs) -> FFElement:
-        coeffs = [c % self.p for c in coeffs]
         if self.k == 1 and len(coeffs) > 1:
             raise FieldError(f"an element of F_{self.p} takes one coefficient, got {len(coeffs)}")
         if len(coeffs) > self.k:
-            red = _gf_divmod(coeffs, list(self.modulus), self.p)[1]
-            coeffs = red
-        return FFElement(self, tuple(coeffs) + (0,) * (self.k - len(coeffs)))
+            return self.reduce(list(coeffs))
+        return FFElement(self, tuple([c % self.p for c in coeffs]) + (0,) * (self.k - len(coeffs)))
+
+    def reduce(self, digits: list[int]) -> FFElement:
+        """The residue of sum digits[i] x^i mod (p, modulus), for any ints.
+
+        One top-down pass against the monic modulus clears the digits from
+        the top down to x^k, then each of the k left is taken mod p; the
+        list is overwritten.  Element products for k >= 3, Poly products
+        over F_q and element() all reduce here.
+        """
+        k = self.k
+        mod = self.modulus
+        for top in range(len(digits) - 1, k - 1, -1):
+            c = digits[top]
+            if c:
+                for j in range(k):
+                    digits[top - k + j] -= c * mod[j]
+        p = self.p
+        return FFElement(self, tuple([d % p for d in digits[:k]]) + (0,) * (k - len(digits)))
 
     def coerce(self, v) -> FFElement:
         if isinstance(v, FFElement):
@@ -692,27 +689,7 @@ class QuadExtField:
 
 
 # ---------------------------------------------------------------------------
-# Frobenius and embeddings
-
-
-def frobenius_table(field: FiniteField, n: int = 1) -> list[tuple[int, ...]]:
-    """Images of the basis 1, x, ..., x^{k-1} under a -> a^{p^n}.
-
-    The p^n-power map is F_p-linear, so with this table a single Frobenius
-    application costs k^2 integer operations - the fast path for sweeps
-    that compare against z^{p^2} on a whole field.
-    """
-    return [(field.gen() ** i).frobenius(n).coeffs for i in range(field.k)]
-
-
-def apply_frobenius_table(field: FiniteField, table, a: FFElement) -> FFElement:
-    p = field.p
-    out = [0] * field.k
-    for ai, row in zip(a.coeffs, table):
-        if ai:
-            for j, rj in enumerate(row):
-                out[j] += ai * rj
-    return FFElement(field, tuple(v % p for v in out))
+# embeddings
 
 
 def embed(a: FFElement, target: FiniteField) -> FFElement:

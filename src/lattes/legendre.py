@@ -111,10 +111,6 @@ class LegendreCurve:
         """The cubic x(x-1)(x-lam)."""
         return x * (x - self._one) * (x - self.lam)
 
-    def f_poly(self):
-        ring = PolyRing(self.base, "x")
-        return ring.from_coeffs([self.base.zero, self.b, self.a, self.base.one])
-
     def point(self, x, y) -> CurvePoint:
         x = self.base.coerce(x)
         y = self.base.coerce(y)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import FFElement, FiniteField, apply_frobenius_table, embed, frobenius_table
+from .fields import FFElement, FiniteField, embed
 from .legendre import INF, CurveError, LegendreCurve, is_supersingular, mult_x_map
 from .poly import PolyRing, RationalFunction
 from .serialize import value_to_json
@@ -254,7 +254,7 @@ def classify_field(lam: FFElement, p: int | None = None, n: int = 1, with_torsio
     deg = 2 * n
     if deg % k != 0:
         raise CurveError(f"lambda lives in F_p^{k}, which does not embed in F_p^{deg}")
-    target = FiniteField(p, deg) if deg > 1 else lam.field
+    target = FiniteField(p, deg) if deg > k else lam.field
     sm_t = _selfmap_over(sm, target)
 
     # walk from each point not yet seen; a walk that meets itself closes a new cycle
@@ -308,11 +308,10 @@ def supersingular_identity_check(lam: FFElement, p: int | None = None) -> dict:
     lam4 = embed(lam, target)
     curve4 = LegendreCurve(target, lam4)
     mp4 = mult_x_map(p, curve4)
-    frob2 = frobenius_table(target, 2)  # z -> z^{p^2} as a linear map
     counterexample = None
     for z in _proj_points(target):
         lhs = mp4.eval_proj(z)
-        rhs = INF if z is INF else apply_frobenius_table(target, frob2, z)
+        rhs = INF if z is INF else z.frobenius(2)
         if lhs != rhs:
             counterexample = z
             break

@@ -66,17 +66,7 @@ def _ff_convolve(field, a, b):
     digits = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
     if k == 1:
         return [FFElement(field, (d % p,)) for d in digits]
-    mod = field.modulus
-    out = []
-    for i in range(0, len(digits), slots):
-        ds = digits[i : i + slots]
-        for top in range(slots - 1, k - 1, -1):
-            c = ds[top]
-            if c:
-                for j in range(k):
-                    ds[top - k + j] -= c * mod[j]
-        out.append(FFElement(field, tuple([d % p for d in ds[:k]])))
-    return out
+    return [field.reduce(digits[i : i + slots]) for i in range(0, len(digits), slots)]
 
 
 class PolyRing:

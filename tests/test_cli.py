@@ -131,6 +131,19 @@ def test_verify_all_small(capsys):
     assert data["passed"] == data["total"] > 0
 
 
+def test_verify_all_runs_the_pvi_control(capsys, monkeypatch):
+    """A residual that vanished at every parameter tuple fails verify-all,
+    as it fails pvi-check: the control (0, 0, 0, 0) must be nonzero."""
+    monkeypatch.setattr(pvi, "pvi_residual", lambda cand, params: cand.ring.zero)
+    code = main(["pvi-check", "--m", "3"])
+    capsys.readouterr()
+    assert code == EXIT_FAILED
+    code, data = run_json(["verify-all", "--pmax", "3"], capsys)
+    assert code == EXIT_FAILED
+    failed = [it["item"] for it in data["items"] if not it["ok"]]
+    assert failed == ["pvi-residual m=3", "pvi-residual m=4"]
+
+
 def test_text_format(capsys):
     code, out = run(["hasse-poly", "--p", "3", "--format", "text"], capsys)
     assert code == EXIT_OK

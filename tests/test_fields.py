@@ -8,12 +8,11 @@ from lattes.fields import (
     FieldError,
     FiniteField,
     QuadExtField,
-    apply_frobenius_table,
     embed,
     factorize,
-    frobenius_table,
     is_prime,
     least_irreducible,
+    power,
     rational_sqrt,
 )
 
@@ -141,9 +140,65 @@ def test_frobenius():
     assert a.frobenius(4) == a
     assert a.frobenius(1) == a**3
     assert a.frobenius(1).frobenius(1) == a.frobenius(2)
-    table = frobenius_table(F, 2)
     for c in [F.gen(), a, a * a + F.one]:
-        assert apply_frobenius_table(F, table, c) == c**9
+        assert c.frobenius(2) == power(c, 9, F.one)
+
+
+def _schoolbook(a, b, modulus, p):
+    """(a * b) mod (p, modulus) on int lists: a convolution, then long
+    division by the monic modulus, as written out by hand."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    k = len(modulus) - 1
+    for top in range(len(prod) - 1, k - 1, -1):
+        c = prod[top]
+        for j in range(k + 1):
+            prod[top - k + j] = (prod[top - k + j] - c * modulus[j]) % p
+    return tuple(prod[:k]) + (0,) * (k - len(prod))
+
+
+@pytest.mark.parametrize("p,k", [(5, 3), (3, 4), (2, 6), (3, 6)])
+def test_extension_products_match_schoolbook(p, k):
+    F = FiniteField(p, k)
+    rng = random.Random(p * 100 + k)
+    for _ in range(200):
+        a = [rng.randrange(p) for _ in range(k)]
+        b = [rng.randrange(p) for _ in range(k)]
+        assert (F.element(a) * F.element(b)).coeffs == _schoolbook(a, b, F.modulus, p)
+        long = [rng.randrange(-3 * p, 3 * p) for _ in range(rng.randrange(k + 1, 3 * k + 2))]
+        assert F.element(long).coeffs == _schoolbook(long, [1], F.modulus, p)
+
+
+def test_inverse_every_element():
+    for p, k in [(5, 2), (3, 4)]:
+        F = FiniteField(p, k)
+        one = F.one.coeffs
+        for a in F:
+            if not a.is_zero():
+                assert _schoolbook(a.coeffs, a.inverse().coeffs, F.modulus, p) == one
+    # above LOG_TABLE_BOUND: the inverse is a square-and-multiply power
+    F = FiniteField(3, 11)
+    assert F.order > F.LOG_TABLE_BOUND
+    rng = random.Random(11)
+    for _ in range(40):
+        a = F.element([rng.randrange(3) for _ in range(11)])
+        if not a.is_zero():
+            assert _schoolbook(a.coeffs, a.inverse().coeffs, F.modulus, 3) == F.one.coeffs
+    assert F._exp is None
+    with pytest.raises(ZeroDivisionError):
+        F.zero.inverse()
+
+
+def test_log_tables_match_square_and_multiply():
+    for p, k in [(7, 2), (3, 4)]:
+        F = FiniteField(p, k)
+        q = F.order
+        for a in F:
+            for e in (8, 9, 13, q - 2, q - 1, q, 3 * q + 5):
+                assert a**e == power(a, e, F.one)
+        assert F._exp is not None
 
 
 def test_embed():
