@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("pvi-check", _cmd_pvi_check, help="exact Painleve VI residual for Psi_m")
     sp.add_argument(
         "--m",
-        type=_int_in_range(3, pvi.PVI_EXACT_BOUND, "PVI_EXACT_BOUND: the exact residual does not finish beyond it"),
+        type=_int_in_range(3, pvi.PVI_EXACT_BOUND, "PVI_EXACT_BOUND: beyond it the exact check takes about a minute"),
         required=True,
         help=f"3 <= m <= {pvi.PVI_EXACT_BOUND}; Psi_2 = x(x-1)(x-lambda) lies on the PVI singular locus",
     )

@@ -138,30 +138,29 @@ def _gf_mul(a, b, p):
     return _gf_trim(out)
 
 
-def _gf_divmod(a, b, p):
+def _gf_rem(a, b, p):
+    """a mod b for int coefficient lists over F_p."""
     a = list(a)
-    db, da = len(b) - 1, len(a) - 1
+    db = len(b) - 1
     if db < 0:
         raise ZeroDivisionError("gf division by zero")
     inv_lb = pow(b[-1], p - 2, p)
-    q = [0] * max(da - db + 1, 0)
     while len(a) - 1 >= db and a:
         shift = len(a) - 1 - db
         c = a[-1] * inv_lb % p
-        q[shift] = c
         for i, bi in enumerate(b):
             a[shift + i] = (a[shift + i] - c * bi) % p
         _gf_trim(a)
-    return _gf_trim(q), a
+    return a
 
 
 def _gf_pow_mod(a, e, mod, p):
     result = [1]
-    a = _gf_divmod(a, mod, p)[1]
+    a = _gf_rem(a, mod, p)
     while e:
         if e & 1:
-            result = _gf_divmod(_gf_mul(result, a, p), mod, p)[1]
-        a = _gf_divmod(_gf_mul(a, a, p), mod, p)[1]
+            result = _gf_rem(_gf_mul(result, a, p), mod, p)
+        a = _gf_rem(_gf_mul(a, a, p), mod, p)
         e >>= 1
     return result
 
@@ -169,7 +168,7 @@ def _gf_pow_mod(a, e, mod, p):
 def _gf_gcd(a, b, p):
     a, b = list(a), list(b)
     while b:
-        a, b = b, _gf_divmod(a, b, p)[1]
+        a, b = b, _gf_rem(a, b, p)
     if a:
         inv = pow(a[-1], p - 2, p)
         a = [c * inv % p for c in a]
@@ -470,7 +469,7 @@ class FiniteField:
         if isinstance(v, Fraction):
             if v.denominator % self.p == 0:
                 raise FieldError(f"denominator of {v} not invertible mod {self.p}")
-            return self.element([v.numerator]) / self.element([v.denominator])
+            return self.element([v.numerator * pow(v.denominator, -1, self.p)])
         raise FieldError(f"cannot coerce {v!r} into F_{self.p}^{self.k}")
 
     def __iter__(self):

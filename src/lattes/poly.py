@@ -436,8 +436,6 @@ def _ring_of(value):
         return QQ
     if isinstance(value, Poly):
         return value.ring
-    if isinstance(value, RationalFunction):
-        return value.parent()
     return value.field
 
 
@@ -457,7 +455,7 @@ def _coeff_to_json(c):
 
 def _field_coeffs(ring) -> bool:
     base = ring.base
-    return base == QQ or isinstance(base, (FiniteField, FracField)) or hasattr(base, "nonsquare")
+    return base == QQ or isinstance(base, FiniteField) or hasattr(base, "nonsquare")
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -472,8 +470,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         while not b.is_zero():
             a, b = b, a % b
         return a.monic()
-    g = _subresultant_prs(a, b)[-1]
-    return g.primitive()
+    return _subresultant_prs(a, b)[1].primitive()
 
 
 def pseudo_divrem(a: Poly, b: Poly):
@@ -497,23 +494,30 @@ def pseudo_divrem(a: Poly, b: Poly):
 
 
 def _subresultant_prs(a: Poly, b: Poly):
-    """Subresultant polynomial remainder sequence (Collins/Brown-Traub)."""
+    """The subresultant remainder sequence of two nonzero polynomials over
+    an integral domain (Cohen, GTM 138, Alg. 3.3.1 and 3.3.7).
+
+    Returns (A, B, h, sign) where B is the last nonzero remainder, A the
+    one before it, h the subresultant scale factor after B and sign the
+    parity (-1)^(deg A_i * deg B_i) accumulated along the way, so that
+    Res(a, b) = sign * h^(1 - deg A) * lc(B)^(deg A) when deg B = 0.
+    """
+    sign = 1
     if a.degree < b.degree:
         a, b = b, a
-    prs = [a, b]
-    base_one = a.ring.base.one
-    g = base_one
-    h = base_one
+        if a.degree % 2 and b.degree % 2:
+            sign = -1
+    g = h = a.ring.base.one
     while True:
-        d = prs[-2].degree - prs[-1].degree
-        rem = pseudo_divrem(prs[-2], prs[-1])[1]
+        d = a.degree - b.degree
+        if a.degree % 2 and b.degree % 2:
+            sign = -sign
+        rem = pseudo_divrem(a, b)[1]
         if rem.is_zero():
-            return prs
+            return a, b, h, sign
         divisor = g * h**d
-        rem = Poly(rem.ring, tuple(_coeff_exact_div(c, divisor) for c in rem.coeffs))
-        lead = prs[-1].lc
-        prs.append(rem)
-        g = lead
+        a, b = b, Poly(rem.ring, tuple(_coeff_exact_div(c, divisor) for c in rem.coeffs))
+        g = a.lc
         h = _coeff_hpow(h, g, d)
 
 
@@ -524,36 +528,28 @@ def _coeff_exact_div(a, b):
 
 
 def _coeff_hpow(h, g, d):
-    # h' = g^d / h^(d-1)
-    num = g**d
+    """g^d / h^(d-1), exactly."""
     if d == 0:
-        return h  # h' = h^(1-0)... d=0: h' = h^(1-d) g^d = h
+        return h
     if d == 1:
-        return num
-    den = h ** (d - 1)
-    return _coeff_exact_div(num, den)
+        return g
+    return _coeff_exact_div(g**d, h ** (d - 1))
 
 
 def resultant(a: Poly, b: Poly):
-    """Res(a, b) in the coefficient ring.
-
-    Field coefficients use the Euclidean recursion directly; bivariate
-    input is lifted to the fraction field of the lambda-ring and the
-    (necessarily polynomial) result converted back.
-    """
+    """Res(a, b) in the coefficient ring: the Euclidean recursion over a
+    field, the subresultant remainder sequence over an integral domain."""
     if a.ring != b.ring:
         raise ArithmeticError("resultant over different rings")
-    base = a.ring.base
     if _field_coeffs(a.ring):
         return _resultant_field(a, b)
-    frac = FracField(base)
-    fring = PolyRing(frac, a.ring.var)
-    r = _resultant_field(a.map_coeffs(frac.coerce, fring), b.map_coeffs(frac.coerce, fring))
-    if r.is_zero():
-        return base.zero
-    if r.den.degree != 0:
-        raise AssertionError("resultant of polynomial input must be polynomial")
-    return r.num.scale(_invert_coeff(r.den.lc))
+    if a.is_zero() or b.is_zero():
+        return a.ring.base.zero
+    A, B, h, sign = _subresultant_prs(a, b)
+    if B.degree > 0:
+        return a.ring.base.zero
+    res = _coeff_hpow(h, B.lc, A.degree)
+    return res if sign == 1 else -res
 
 
 def _resultant_field(a: Poly, b: Poly):
@@ -625,13 +621,8 @@ def squarefree_part(f: Poly) -> Poly:
 
 
 def _primitive_exact_div(f: Poly, g: Poly) -> Poly:
-    """f/g for bivariate data: divide in the fraction field, clear back."""
-    frac = FracField(f.ring.base)
-    fring = PolyRing(frac, f.ring.var)
-    ff = f.map_coeffs(lambda c: frac.coerce(c), fring)
-    gg = g.map_coeffs(lambda c: frac.coerce(c), fring)
-    q = ff.exact_div(gg)
-    return clear_denominators(q, f.ring).primitive()
+    """f/g for bivariate data, up to a unit: the primitive pseudo-quotient."""
+    return pseudo_divrem(f, g)[0].primitive()
 
 
 def _pth_root(c, p):
@@ -688,9 +679,6 @@ class RationalFunction:
             den = den.scale(inv)
         self.num = num
         self.den = den
-
-    def parent(self):
-        return FracField(self.num.ring)
 
     @property
     def degree(self):
@@ -803,61 +791,6 @@ class RationalFunction:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
 
-class FracField:
-    """Fraction field of R[var]; elements are RationalFunction values.
-
-    A RationalFunction does not refer to its FracField, so zero and one are
-    stored without making the field a reference cycle.
-    """
-
-    def __init__(self, polyring: PolyRing):
-        self.polyring = polyring
-        self.zero = RationalFunction(polyring.zero, polyring.one, reduce=False)
-        self.one = RationalFunction(polyring.one, polyring.one, reduce=False)
-
-    @property
-    def char(self):
-        return self.polyring.char
-
-    def gen(self):
-        return RationalFunction(self.polyring.gen(), self.polyring.one, reduce=False)
-
-    def coerce(self, v):
-        if isinstance(v, RationalFunction):
-            if v.num.ring != self.polyring:
-                raise FieldError("fraction field mismatch")
-            return v
-        p = self.polyring.coerce(v)
-        return RationalFunction(p, self.polyring.one, reduce=False)
-
-    def __eq__(self, other):
-        return isinstance(other, FracField) and other.polyring == self.polyring
-
-    def __hash__(self):
-        return hash(("fracfield", self.polyring))
-
-    def __repr__(self):
-        return f"Frac({self.polyring!r})"
-
-
-def to_fraction_coeffs(f: Poly, frac: FracField) -> Poly:
-    """Lift a Poly over R[l] in x to a Poly over Frac(R[l]) in x."""
-    ring = PolyRing(frac, f.ring.var)
-    return f.map_coeffs(frac.coerce, ring)
-
-
-def clear_denominators(f: Poly, target_ring: PolyRing) -> Poly:
-    """Multiply through by the lcm of coefficient denominators; inverse of to_fraction_coeffs."""
-    lcm = target_ring.base.one
-    for c in f.coeffs:
-        g = poly_gcd(lcm, c.den)
-        lcm = lcm * c.den.exact_div(g)
-    out = []
-    for c in f.coeffs:
-        out.append(c.num * lcm.exact_div(c.den))
-    return Poly(target_ring, out)
-
-
 def integer_normalize(f: Poly) -> Poly:
     """Scale bivariate-over-Q data to integer coefficients with content 1, lead positive."""
     fracs = []
@@ -885,7 +818,9 @@ def integer_normalize(f: Poly) -> Poly:
 
 
 class QuotientRing:
-    """K[x]/(F) for a field K; F squarefree so zero divisors certify factors."""
+    """R[x]/(F).  Reduction needs only a unit leading coefficient of F, so R
+    may be Q[lambda] when lc(F) is a nonzero constant; `inverse` needs field
+    coefficients, and F squarefree so that zero divisors certify factors."""
 
     def __init__(self, modulus: Poly):
         if modulus.degree < 1:

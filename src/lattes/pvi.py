@@ -3,11 +3,13 @@ their etaleness away from lambda in {0, 1}, and exact verification that the
 algebraic functions x(lambda) they cut out solve the Painleve VI equation
 with the Picard parameters (0, 0, 0, 1/2).
 
-Everything runs in Frac(Q[lambda])[x]/(Psi_m): the implicit first and second
-derivatives of x(lambda) are quotient-ring elements, and "the residual is
-zero" is an exact statement, not a numeric tolerance.  Inverses that hit a
-factor of the modulus surface it via ZeroDivisorFound; nothing is factored
-up front.
+Everything is a ring operation in Q[lambda][x] followed by a remainder
+modulo Psi_m, whose x-leading coefficient is a nonzero constant: the
+implicit derivatives of x(lambda) are (numerator, denominator) pairs, the
+PVI residual is cleared of its denominator D, and "the residual is zero" is
+the exact statement that the cleared numerator is 0 mod Psi_m, with D proved
+a unit there by gcds rather than inverted.  A common factor of the modulus
+with D surfaces via ZeroDivisorFound; nothing is factored up front.
 """
 
 from __future__ import annotations
@@ -18,23 +20,20 @@ from fractions import Fraction
 from .fields import QQ, FiniteField, is_prime
 from .legendre import SYMBOLIC_LAMBDA_RING, SYMBOLIC_X_RING, division_polynomial
 from .poly import (
-    FracField,
     Poly,
     PolyRing,
     QuotientElement,
     QuotientRing,
+    ZeroDivisorFound,
     discriminant,
     integer_normalize,
     poly_gcd,
-    to_fraction_coeffs,
 )
 
 TORSION_LOCUS_BOUND = 12
-# the exact residual in Frac(Q[lambda])[x]/(Psi_m) does not finish for m = 5
-PVI_EXACT_BOUND = 4
-
-LAMBDA_FRAC = FracField(SYMBOLIC_LAMBDA_RING)
-QUOTIENT_X_RING = PolyRing(LAMBDA_FRAC, "x")
+# pvi-check at m = 7 takes about a minute: gcd(Psi_7, d/dx Psi_7) and
+# disc_x(Psi_7), one subresultant sequence each, take half a minute apiece
+PVI_EXACT_BOUND = 6
 
 
 class SingularSolution(ArithmeticError):
@@ -184,8 +183,9 @@ def etale_check(m: int) -> dict:
 
 
 class AlgebraicSolutionCandidate:
-    """x(lambda) cut out by a squarefree F(x, lambda), with its implicit
-    lambda-derivatives as elements of Frac(Q[lambda])[x]/(F)."""
+    """x(lambda) cut out by a squarefree F(x, lambda) with constant x-leading
+    coefficient; x' and x'' are (numerator, denominator) pairs of elements
+    of Q[lambda][x]/(F)."""
 
     def __init__(self, modulus: Poly, x, xprime, xsecond):
         self.modulus = modulus
@@ -195,91 +195,86 @@ class AlgebraicSolutionCandidate:
         self.xsecond = xsecond
         self._components = None
 
-    def lam(self):
-        """lambda as a scalar of the quotient ring."""
-        return self.ring.coerce(LAMBDA_FRAC.gen())
-
-
-def _lift_to_fraction(F: Poly) -> Poly:
-    if F.ring == QUOTIENT_X_RING:
-        return F
-    return to_fraction_coeffs(F, LAMBDA_FRAC)
-
 
 def _lambda_derivative(g: Poly) -> Poly:
-    """Coefficient-wise d/d lambda of a polynomial in x over Frac(Q[lambda])."""
+    """Coefficient-wise d/d lambda of a polynomial in x over Q[lambda]."""
     return Poly(g.ring, tuple(c.derivative() for c in g.coeffs))
 
 
 def implicit_derivatives(F: Poly) -> AlgebraicSolutionCandidate:
-    """x' = -F_lambda / F_x and x'' = d(x')/d lambda along the curve F = 0.
+    """x' = -v/u and x'' = -A/u^3 along the curve F = 0, where u = F_x,
+    v = F_lambda and A = F_xx v^2 - 2 F_x,lambda u v + F_lambda,lambda u^2.
 
-    F may be given with integer or fraction coefficients; it must be
-    squarefree so that F_x is invertible modulo F (a shared factor raises
-    ZeroDivisorFound carrying that factor).
+    F is a polynomial in x over Q[lambda]; its x-leading coefficient must
+    be a nonzero constant, so that remainders mod F stay in Q[lambda][x],
+    and F must be squarefree, so that u is a unit mod F (a common factor
+    of F and u raises ZeroDivisorFound carrying that factor).
     """
-    F = _lift_to_fraction(F)
     if F.degree < 1:
         raise ArithmeticError("modulus must have positive x-degree")
-    ring = QuotientRing(F.monic())
-    Fx = ring.element(F.derivative())
-    Flam = ring.element(_lambda_derivative(F))
-    xprime = -Flam * Fx.inverse()
-    # total lambda-derivative of x' = g(x, lambda): dg/dlambda + dg/dx * x'
-    g = xprime.poly
-    xsecond = ring.element(_lambda_derivative(g)) + ring.element(g.derivative()) * xprime
-    x = ring.element(ring.polyring.gen())
-    return AlgebraicSolutionCandidate(F, x, xprime, xsecond)
+    if F.lc.degree != 0:
+        raise ArithmeticError(f"x-leading coefficient {F.lc} of the modulus is not a nonzero constant")
+    u = F.derivative()
+    g = poly_gcd(F, u)
+    if g.degree > 0:
+        raise ZeroDivisorFound(g)
+    v = _lambda_derivative(F)
+    A = u.derivative() * v * v - 2 * _lambda_derivative(u) * u * v + _lambda_derivative(v) * u * u
+    ring = QuotientRing(F)
+    U = ring.element(u)
+    x = ring.element(F.ring.gen())
+    return AlgebraicSolutionCandidate(F, x, (ring.element(-v), U), (ring.element(-A), U * U * U))
 
 
 def _residual_components(cand: AlgebraicSolutionCandidate):
-    """Split the PVI residual as base - (a*Ca + b*Cb + g*Cg + d*Cd).
+    """Split the cleared PVI residual as N0 - (a*Ca + b*Cb + g*Cg + d*Cd).
 
-    The residual is affine in the four parameters, so computing the
-    parameter-free part and the four coefficient elements once makes grid
+    With P = x(x-1)(x-lambda), T = lambda(lambda-1) and x' = a1/b1,
+    x'' = a2/b1^3, the residual times D = 2 b1^3 P T^2 is
+
+        N = 2 a2 P T^2 - b1 a1^2 T^2 P_x + 2 b1^2 a1 T ((2 lambda - 1) P + T x(x-1))
+            - 2 b1^3 (alpha P^2 + beta lambda (x-1)^2 (x-lambda)^2
+                      + gamma (lambda-1) x^2 (x-lambda)^2 + delta T x^2 (x-1)^2),
+
+    and D is a unit mod F once b1 is and F(0), F(1), F(lambda) are
+    nonzero.  N is affine in the four parameters, so the parameter-free
+    part and the four coefficients are computed once, which makes grid
     scans over parameter tuples cheap.
     """
     if cand._components is not None:
         return cand._components
-    ring = cand.ring
-    x = cand.x
-    xp = cand.xprime
-    xpp = cand.xsecond
-    lam = cand.lam()
-    one = ring.one
-
-    x1 = x - one
-    xl = x - lam
-    for name, elt in (("0", x), ("1", x1), ("lambda", xl)):
-        if elt.is_zero():
-            raise SingularSolution(f"x is identically {name}; Painleve VI singular locus")
-    inv_x = x.inverse()
-    inv_x1 = x1.inverse()
-    inv_xl = xl.inverse()
-
-    lam_inv = LAMBDA_FRAC.one / LAMBDA_FRAC.gen()
-    lam1_inv = LAMBDA_FRAC.one / (LAMBDA_FRAC.gen() - LAMBDA_FRAC.polyring.one)
-    half = ring.coerce(LAMBDA_FRAC.coerce(Fraction(1, 2)))
-
-    base = (
-        xpp
-        - half * (inv_x + inv_x1 + inv_xl) * xp * xp
-        + (ring.coerce(lam_inv) + ring.coerce(lam1_inv) + inv_xl) * xp
-    )
-    prefactor = x * x1 * xl * ring.coerce(lam_inv * lam_inv * lam1_inv * lam1_inv)
+    F = cand.modulus
+    X = F.ring
+    x = X.gen()
+    lam = SYMBOLIC_LAMBDA_RING.gen()
+    for name, root in (("0", 0), ("1", 1), ("lambda", lam)):
+        if F(SYMBOLIC_LAMBDA_RING.coerce(root)).is_zero():
+            if F.degree == 1:
+                raise SingularSolution(f"x is identically {name}; Painleve VI singular locus")
+            raise ZeroDivisorFound(x - X.coerce(root))
+    a1, b1 = cand.xprime
+    a2, b1_cubed = cand.xsecond
+    lam_x = X.coerce(lam)
+    x0, x1, xl = cand.x, cand.x - 1, cand.x - lam_x
+    P = x * (x - 1) * (x - lam_x)
+    P, Px = cand.ring.element(P), cand.ring.element(P.derivative())  # P_x of P itself, not of P mod F
+    T = lam * (lam - 1)
     comps = (
-        base,
-        prefactor,
-        prefactor * ring.coerce(LAMBDA_FRAC.gen()) * inv_x * inv_x,
-        prefactor * ring.coerce(LAMBDA_FRAC.gen() - LAMBDA_FRAC.polyring.one) * inv_x1 * inv_x1,
-        prefactor * ring.coerce(LAMBDA_FRAC.gen() * (LAMBDA_FRAC.gen() - LAMBDA_FRAC.polyring.one)) * inv_xl * inv_xl,
+        a2 * P * (2 * T * T)
+        - b1 * a1 * a1 * Px * (T * T)
+        + b1 * b1 * a1 * (P * (2 * lam - 1) + x0 * x1 * T) * (2 * T),
+        b1_cubed * P * P * 2,
+        b1_cubed * x1 * x1 * xl * xl * (2 * lam),
+        b1_cubed * x0 * x0 * xl * xl * (2 * lam - 2),
+        b1_cubed * x0 * x0 * x1 * x1 * (2 * T),
     )
     cand._components = comps
     return comps
 
 
 def pvi_residual(cand: AlgebraicSolutionCandidate, params: PVIParams) -> QuotientElement:
-    """The Painleve VI residual of the candidate, exactly in the quotient.
+    """The Painleve VI residual of the candidate, cleared of its
+    denominator, exactly in the quotient.
 
     With t = lambda and y = x the equation is
 
@@ -289,31 +284,25 @@ def pvi_residual(cand: AlgebraicSolutionCandidate, params: PVIParams) -> Quotien
                 * (alpha + beta t/y^2 + gamma (t-1)/(y-1)^2
                    + delta t(t-1)/(y-t)^2)
 
-    and the returned element is the left side minus the right side; the
-    candidate solves PVI(params) iff the result is zero.
+    and the returned element is D times the left side minus the right side,
+    for the unit D of `_residual_components`; the candidate solves
+    PVI(params) iff the result is zero.
     """
     base, ca, cb, cg, cd = _residual_components(cand)
-    ring = cand.ring
-
-    def scalar(v):
-        return ring.coerce(LAMBDA_FRAC.coerce(Fraction(v)))
-
-    return base - (scalar(params.alpha) * ca + scalar(params.beta) * cb + scalar(params.gamma) * cg + scalar(params.delta) * cd)
+    return base - (params.alpha * ca + params.beta * cb + params.gamma * cg + params.delta * cd)
 
 
 def parameter_grid_scan(cand: AlgebraicSolutionCandidate, values) -> list[PVIParams]:
     """All tuples from the given value grid whose residual vanishes."""
     base, ca, cb, cg, cd = _residual_components(cand)
-    ring = cand.ring
-    coerced = {v: ring.coerce(LAMBDA_FRAC.coerce(Fraction(v))) for v in values}
     hits = []
     for a in values:
-        ta = base - coerced[a] * ca
+        ta = base - Fraction(a) * ca
         for b in values:
-            tb = ta - coerced[b] * cb
+            tb = ta - Fraction(b) * cb
             for g in values:
-                tg = tb - coerced[g] * cg
+                tg = tb - Fraction(g) * cg
                 for d in values:
-                    if (tg - coerced[d] * cd).is_zero():
+                    if (tg - Fraction(d) * cd).is_zero():
                         hits.append(PVIParams(Fraction(a), Fraction(b), Fraction(g), Fraction(d)))
     return hits

@@ -112,6 +112,15 @@ def test_pvi_check(capsys):
     assert data["params"] == {"alpha": "0", "beta": "0", "gamma": "0", "delta": "1/2"}
 
 
+def test_pvi_check_m5(capsys):
+    code, data = run_json(["pvi-check", "--m", "5"], capsys)
+    assert code == EXIT_OK
+    assert data["m"] == 5
+    assert data["residual_zero"] is True
+    assert data["control_nonzero"] is True
+    assert data["etale"] is True
+
+
 def test_is_torsion_positive(capsys):
     code, data = run_json(["is-torsion", "--lambda", "27/32", "--z", "9/8"], capsys)
     assert code == EXIT_OK
@@ -205,7 +214,7 @@ def test_parser_rejects_out_of_range_counts(argv, flag, capsys):
 @pytest.mark.parametrize(
     "argv, bound",
     [
-        (["pvi-check", "--m", "5"], "PVI_EXACT_BOUND"),
+        (["pvi-check", "--m", str(pvi.PVI_EXACT_BOUND + 1)], "PVI_EXACT_BOUND"),
         (["pvi-check", "--m", "12"], "PVI_EXACT_BOUND"),
         (["torsion-locus", "--m", "13"], "TORSION_LOCUS_BOUND"),
     ],

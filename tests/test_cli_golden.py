@@ -19,8 +19,8 @@ from lattes.cli import main
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 # (command line, exit code): the README examples except the slow
-# `verify-all --pmax 13` and `pvi-check`, plus an extension-field census
-# with verdicts, an orbit over a larger field and a short sweep
+# `verify-all --pmax 13`, plus an extension-field census with verdicts, an
+# orbit over a larger field, a short sweep and the PVI check at m = 3, 4
 COMMANDS = [
     ("selfmap --p 3 --lambda 2", 0),
     ("orbit --p 5 --lambda 2 --z 3", 0),
@@ -32,6 +32,8 @@ COMMANDS = [
     ("census --p 3 --k 2 --lambda 1,1 --n 2 --verdicts", 0),
     ("orbit --p 5 --lambda 2 --z 3 --n 2", 0),
     ("verify-all --pmax 5", 0),
+    ("pvi-check --m 3", 0),
+    ("pvi-check --m 4", 0),
 ]
 
 

@@ -105,6 +105,18 @@ def test_coerce_and_fractions():
         F7.coerce(F49.gen())
 
 
+def test_coerce_fraction_without_field_inverse():
+    # a/b goes to a * b^-1 mod p in the prime field: no log tables are built
+    F = FiniteField(13, 2)
+    assert F.coerce(Fraction(3)) == F.element([3])
+    assert F._exp is None
+    F25 = FiniteField(5, 2)
+    for a in range(-6, 7):
+        for b in range(1, 7):
+            if b % 5:
+                assert F25.coerce(Fraction(a, b)) == F25.element([a]) / F25.element([b])
+
+
 def test_pow_matches_repeated_multiplication():
     rng = random.Random(1)
     for p, k in [(3, 2), (13, 2), (5, 3)]:

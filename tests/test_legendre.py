@@ -22,7 +22,7 @@ from lattes.legendre import (
     verify_composition,
     _composition_holds,
 )
-from lattes.poly import FracField, PolyRing, QuotientRing, RationalFunction
+from lattes.poly import PolyRing, QuotientRing, RationalFunction
 
 
 def brute_points(curve):
@@ -350,11 +350,11 @@ def test_temporaries_are_freed_without_the_cycle_collector():
         curve.scalar_mul(5, curve.random_point(random.Random(1)))
         R = PolyRing(F, "x")
         (R.gen() + R.one) ** 3 % (R.gen() ** 2 + R.one)
-        # the ring pvi-check works in: Frac(Q[l])[x]/(x^2 - l)
-        K = FracField(PolyRing(QQ, "l"))
+        # the ring pvi-check works in: Q[l][x]/(x^2 - l)
+        K = PolyRing(QQ, "l")
         Q = QuotientRing(PolyRing(K, "x").from_coeffs([-K.gen(), K.zero, K.one]))
         t = Q.element(Q.polyring.gen())
-        assert (t**3 + Q.one) * t.inverse() == t * t + Q.one / t
+        assert t**3 * t == Q.element(K.gen() * K.gen()) and (t + Q.one) * (t - Q.one) == Q.element(K.gen() - 1)
         E = QuadExtField(FiniteField(7), FiniteField(7).coerce(3))
         assert (E.gen() + E.one) ** 48 == E.one and E.gen() * E.gen().inverse() == E.one
         refs = [weakref.ref(o) for o in (F, curve, R, K, Q, E)]

@@ -5,13 +5,11 @@ import pytest
 
 from lattes.fields import QQ, FiniteField
 from lattes.poly import (
-    FracField,
     Poly,
     PolyRing,
     QuotientRing,
     RationalFunction,
     ZeroDivisorFound,
-    clear_denominators,
     discriminant,
     integer_normalize,
     map_coefficients,
@@ -19,7 +17,6 @@ from lattes.poly import (
     resultant,
     squarefree_part,
     swap_variables,
-    to_fraction_coeffs,
 )
 
 QX = PolyRing(QQ, "x")
@@ -109,6 +106,57 @@ def test_resultant_oracles():
     assert resultant(P(-1, 1) * P(1, 1), P(-1, 1) * P(3, 1)) == 0
 
 
+def _to_sympy(F, x, l):
+    """A polynomial in x over Q[l] as a sympy expression."""
+    import sympy
+
+    return sum(sympy.Rational(c.numerator, c.denominator) * x**i * l**j for i, cf in enumerate(F.coeffs) for j, c in enumerate(cf.coeffs))
+
+
+def test_bivariate_resultant_matches_sympy():
+    # the subresultant resultant over Q[l] against sympy on seeded random pairs
+    sympy = pytest.importorskip("sympy")
+    x, l = sympy.symbols("x l")
+    L = PolyRing(QQ, "l")
+    RX = PolyRing(L, "x")
+    rng = random.Random(11)
+
+    def rand_poly(dx):
+        rows = [L.from_coeffs([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]) for _ in range(dx)]
+        return RX.from_coeffs(rows + [L.from_coeffs([rng.choice([-3, -1, 1, 2]), rng.randint(-2, 2)])])
+
+    pairs = [(rand_poly(rng.randint(1, 4)), rand_poly(rng.randint(1, 4))) for _ in range(12)]
+    f, g, h = rand_poly(2), rand_poly(1), rand_poly(2)
+    pairs.append((f * g, g * h))  # a common factor: resultant zero
+    # remainder degrees 5, 3, 2, 0: the last step skips a degree, so the
+    # final scale factor h = l^3 enters the resultant
+    b = RX.from_coeffs([1, L.gen()]) * RX.from_coeffs([1, 0, 1]) + 5
+    pairs.append((RX.from_coeffs([0, 0, 1]) * b + RX.from_coeffs([1, 0, 1]), b))
+    for a, b in pairs:
+        # sympy 1.14 returns Res(b, a) when deg a < deg b (Res(x - 2, x^3 + 1)
+        # comes out -9, the Sylvester determinant is 9): pass the larger first
+        sign = -1 if a.degree < b.degree and a.degree * b.degree % 2 else 1
+        big, small = (a, b) if a.degree >= b.degree else (b, a)
+        theirs = sign * sympy.resultant(_to_sympy(big, x, l), _to_sympy(small, x, l), x)
+        assert sympy.expand(_to_sympy(RX.coerce(resultant(a, b)), x, l) - theirs) == 0
+    assert sympy.Matrix([[1, -2, 0, 0], [0, 1, -2, 0], [0, 0, 1, -2], [1, 0, 0, 1]]).det() == 9
+    assert resultant(RX.from_coeffs([-2, 1]), RX.from_coeffs([1, 0, 0, 1])) == 9
+    assert resultant(f * g, g * h) == 0
+
+
+def test_discriminant_of_torsion_loci_matches_sympy():
+    # the repository's disc is Res(f, f')/lc, sympy's carries (-1)^(n(n-1)/2) more
+    sympy = pytest.importorskip("sympy")
+    from lattes.pvi import torsion_locus
+
+    x, l = sympy.symbols("x l")
+    for m in (3, 4, 5):
+        psi = torsion_locus(m).psi
+        n = psi.degree
+        ours = _to_sympy(psi.ring.coerce(discriminant(psi)), x, l)
+        assert sympy.expand(ours - (-1) ** (n * (n - 1) // 2) * sympy.discriminant(_to_sympy(psi, x, l), x)) == 0
+
+
 def test_resultant_finite_field():
     F7 = FiniteField(7)
     R = PolyRing(F7, "x")
@@ -180,19 +228,6 @@ def test_eval_proj():
     assert phi.eval_proj(F5.zero) is INF  # pole
     assert phi.eval_proj(F5.coerce(2)) == F5.coerce(0)
     assert phi.eval_proj(F5.coerce(1)) == F5.coerce(2)
-
-
-def test_fraction_field_and_clear_denominators():
-    L = PolyRing(QQ, "l")
-    FL = FracField(L)
-    RX = PolyRing(FL, "x")
-    lam = FL.gen()
-    f = RX.from_coeffs([lam / (lam + 1), FL.coerce(1)])
-    g = clear_denominators(f, PolyRing(L, "x"))
-    # (lam/(lam+1)) + x -> lam + (lam+1) x
-    assert [c for c in g.coeffs] == [L.gen(), L.gen() + L.coerce(1)]
-    back = to_fraction_coeffs(g, FL)
-    assert back.degree == 1
 
 
 def test_quotient_ring():

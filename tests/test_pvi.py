@@ -118,21 +118,22 @@ def test_implicit_derivatives_linear():
     x = X.gen()
     lam = X.coerce(L.gen())
     cand = implicit_derivatives(x - lam)
-    assert cand.xprime == cand.ring.one
-    assert cand.xsecond.is_zero()
+    num, den = cand.xprime
+    assert num == den
+    num, den = cand.xsecond
+    assert num.is_zero() and not den.is_zero()
 
 
 def test_implicit_derivatives_quadratic():
-    # F = x^2 - lambda: x' = 1/(2x), x'' = -1/(4 x^3) = -x/(4 lambda^2) mod F
+    # F = x^2 - lambda: x' = 1/(2x), x'' = -1/(4 x^3), as cross-multiplied identities
     x = X.gen()
     lam = X.coerce(L.gen())
     cand = implicit_derivatives(x * x - lam)
-    two_x = cand.x + cand.x
-    assert cand.xprime * two_x == cand.ring.one
-    # x'' = -1/(4 x^3), i.e. 4 x^3 x'' + 1 = 0
+    num, den = cand.xprime
+    assert cand.x * 2 * num == den
+    num, den = cand.xsecond
     cube = cand.x * cand.x * cand.x
-    four = cand.ring.coerce(cand.ring.polyring.base.coerce(4))
-    assert (four * cube * cand.xsecond + cand.ring.one).is_zero()
+    assert (cube * 4 * num + den).is_zero()
 
 
 def test_implicit_derivatives_rejects_non_squarefree():
@@ -148,6 +149,20 @@ def test_singular_candidate_rejected():
     cand = implicit_derivatives(X.gen())
     with pytest.raises(SingularSolution):
         pvi_residual(cand, picard_params())
+
+
+def test_residual_needs_a_unit_denominator():
+    x = X.gen()
+    lam = X.coerce(L.gen())
+    # x = 0, 1 or lambda on one branch: the factor comes back, not a verdict
+    for root in (X.zero, X.one, lam):
+        cand = implicit_derivatives((x - root) * (x - lam - 2))
+        with pytest.raises(ZeroDivisorFound) as ei:
+            pvi_residual(cand, picard_params())
+        assert ei.value.factor == x - root
+    # remainders mod F stay polynomial only for a constant x-leading coefficient
+    with pytest.raises(ArithmeticError, match="not a nonzero constant"):
+        implicit_derivatives(lam * x - 1)
 
 
 def test_residual_vanishes_for_torsion_loci():
@@ -168,6 +183,46 @@ def test_residual_nonzero_for_non_solution():
     l = L.gen()
     cand = implicit_derivatives(x - X.coerce(l * l))
     assert not pvi_residual(cand, picard_params()).is_zero()
+
+
+def test_residual_matches_sympy():
+    # sympy builds x'' by implicit differentiation; the residual is zero when
+    # its numerator is 0 mod F over QQ(lambda), and times D = 2 F_x^3 P T^2
+    # it is a polynomial whose remainder mod F must equal ours exactly
+    sympy = pytest.importorskip("sympy")
+    xs, ls = sympy.symbols("x l")
+
+    def to_sympy(F):
+        return sum(sympy.Rational(c.numerator, c.denominator) * xs**i * ls**j for i, cf in enumerate(F.coeffs) for j, c in enumerate(cf.coeffs))
+
+    def sympy_residual(Fs, params):
+        a, b, g, d = (sympy.Rational(v.numerator, v.denominator) for v in params.as_tuple())
+        xp = -sympy.diff(Fs, ls) / sympy.diff(Fs, xs)
+        xpp = sympy.diff(xp, ls) + sympy.diff(xp, xs) * xp
+        y, t = xs, ls
+        rhs = (
+            sympy.Rational(1, 2) * (1 / y + 1 / (y - 1) + 1 / (y - t)) * xp**2
+            - (1 / t + 1 / (t - 1) + 1 / (y - t)) * xp
+            + y * (y - 1) * (y - t) / (t**2 * (t - 1) ** 2) * (a + b * t / y**2 + g * (t - 1) / (y - 1) ** 2 + d * t * (t - 1) / (y - t) ** 2)
+        )
+        return xpp - rhs
+
+    def rem(e, Fs):
+        return sympy.rem(sympy.expand(e), Fs, xs, domain=sympy.QQ.frac_field(ls))
+
+    x = X.gen()
+    l = L.gen()
+    control = PVIParams(Fraction(0), Fraction(0), Fraction(0), Fraction(0))
+    generic = PVIParams(Fraction(1), Fraction(-2), Fraction(3), Fraction(1, 5))
+    for F in (torsion_locus(3).psi, x - X.coerce(l * l)):
+        Fs = to_sympy(F)
+        cand = implicit_derivatives(F)
+        for params in (picard_params(), control):
+            num, _ = sympy.fraction(sympy.together(sympy_residual(Fs, params)))
+            assert pvi_residual(cand, params).is_zero() == (rem(num, Fs) == 0)
+        D = 2 * sympy.diff(Fs, xs) ** 3 * xs * (xs - 1) * (xs - ls) * (ls * (ls - 1)) ** 2
+        N = sympy.cancel(D * sympy_residual(Fs, generic))
+        assert sympy.expand(to_sympy(pvi_residual(cand, generic).poly) - rem(N, Fs)) == 0
 
 
 def test_grid_scan_uniqueness():
