@@ -53,17 +53,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _fraction(text: str, flag: str) -> Fraction:
+    """'a/b' or an integer; a malformed value or a zero denominator is a
+    usage error that names the argument."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag} {text}: zero denominator") from None
+    except ValueError:
+        raise ValueError(f"{flag} {text!r}: expected a/b or an integer") from None
+
+
 def _parse_lambda(text: str, field: FiniteField):
     """A field element from 'a/b', an integer, or a comma coefficient list."""
     if "," in text:
         return field.element([int(c) for c in text.split(",")])
-    return field.coerce(Fraction(text))
+    return field.coerce(_fraction(text, "--lambda"))
 
 
 def _parse_proj(text: str, field=None):
     if text in ("inf", "oo", "infinity"):
         return INF
-    v = Fraction(text)
+    v = _fraction(text, "--z")
     return v if field is None else field.coerce(v)
 
 
@@ -178,7 +189,7 @@ def _cmd_pvi_check(args) -> int:
 
 
 def _cmd_is_torsion(args) -> int:
-    lam = Fraction(args.lam)
+    lam = _fraction(args.lam, "--lambda")
     z = _parse_proj(args.z)
     cert = detect_mod.detect(detect_mod.TorsionQuery(lam, z, args.bound))
     report = cert.to_json()

@@ -13,30 +13,27 @@ import math
 from fractions import Fraction
 
 from .fields import QQ, FFElement, FiniteField, QuadExtField, factorize, is_prime, rational_sqrt
-from .poly import Poly, PolyRing, RationalFunction
+from .poly import INF, Poly, PolyRing, RationalFunction
 
-
-class _InfinityType:
-    """The point at infinity of P^1 (and the x of the curve's identity)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "inf"
-
-
-INF = _InfinityType()
 
 POINT_COUNT_BOUND = 10**6
+# field operations one enumeration (a census or a supersingular scan) may
+# take: tens of seconds at most on a desk machine
+ENUMERATION_BUDGET = 5 * 10**6
 
 
 class CurveError(ValueError):
     pass
+
+
+def check_enumeration(what: str, q: int, e: int, per_element: int) -> None:
+    """Refuse up front, naming the budget, a run over q^e elements at
+    per_element field operations each that passes ENUMERATION_BUDGET.
+    q >= 2, so a long exponent alone decides without forming q^e."""
+    if e >= ENUMERATION_BUDGET.bit_length() or q**e * per_element > ENUMERATION_BUDGET:
+        raise CurveError(
+            f"{what}: {q}^{e} elements at {per_element} field operations each exceed ENUMERATION_BUDGET = {ENUMERATION_BUDGET}"
+        )
 
 
 class CurvePoint:
@@ -100,7 +97,7 @@ class LegendreCurve:
         self.b = lam
         self.c = zero
         self._one = one
-        self._counts = {}
+        self._count = None
 
     @property
     def infinity(self):
@@ -207,13 +204,14 @@ class LegendreCurve:
     # -- counting and orders
 
     def count_and_trace(self):
-        """Brute-force (#C(F_q), trace) by enumerating x; the counting oracle."""
+        """(#C(F_q), trace): brute force by enumerating x, the counting oracle,
+        unless the count was carried over from a subfield by base_change."""
         base = self.base
         if not getattr(base, "is_finite", False) or isinstance(base, QuadExtField):
             raise CurveError("count_and_trace needs an enumerable finite base field")
-        if base.order > POINT_COUNT_BOUND:
-            raise CurveError(f"field size {base.order} exceeds the counting bound {POINT_COUNT_BOUND}")
-        if "count" not in self._counts:
+        if self._count is None:
+            if base.order > POINT_COUNT_BOUND:
+                raise CurveError(f"field size {base.order} exceeds the counting bound {POINT_COUNT_BOUND}")
             squares = set()
             for e in base:
                 squares.add(e * e)
@@ -226,11 +224,20 @@ class LegendreCurve:
                     n += 1
                 elif fx in squares:
                     n += 2
-            self._counts["count"] = n
-        n = self._counts["count"]
+            self._count = n
+        n = self._count
         trace = base.order + 1 - n
         assert trace * trace <= 4 * base.order, "Hasse bound violated; counting bug"
         return n, trace
+
+    def base_change(self, field: FiniteField, lam: FFElement) -> LegendreCurve:
+        """This curve over field, an extension of its base, where lam is the
+        image of lambda.  Its point count is not enumerated again but carried
+        by the Frobenius trace recurrence (extension_order)."""
+        curve = LegendreCurve(field, lam)
+        _, a = self.count_and_trace()
+        curve._count = extension_order(self.base.order, a, field.k // self.base.k)
+        return curve
 
     def group_order(self):
         """#C over the curve's own field; quadratic extensions use the trace recurrence."""
@@ -319,11 +326,13 @@ class PsiHat:
 
     Works over any commutative domain: x may be a polynomial generator
     (symbolic) or a scalar (pointwise evaluation of the same recurrence).
+    A polynomial family also keeps the [m]-maps mult_x_map builds on it.
     """
 
     def __init__(self, x, lam, one):
         self.one = one
         self.x = x
+        self.maps = {}
         b2 = -4 * (one + lam)
         b4 = 2 * lam
         b8 = -(lam * lam)
@@ -368,7 +377,6 @@ def _psihat_symbolic_family() -> PsiHat:
 
 
 _SYMBOLIC_PSIHAT = None
-_SYMBOLIC_MAP_CACHE = {}
 _CURVE_PSIHAT_CACHE = {}
 
 
@@ -415,22 +423,21 @@ def mult_x_map(m: int, curve: LegendreCurve | None = None) -> RationalFunction:
 
     Symbolic output (curve=None) keeps the classical numerator/denominator
     pair x*psi_m^2 - psi_{m+1}psi_{m-1} over psi_m^2, which is already
-    coprime in characteristic 0.
+    coprime in characteristic 0.  Each map is built once per psihat family,
+    that is once per (field, lambda) and once symbolically.
     """
     if m < 1:
         raise ValueError("multiplication index must be >= 1")
-    if curve is None:
-        cached = _SYMBOLIC_MAP_CACHE.get(m)
-        if cached is not None:
-            return cached
-        fam = _symbolic_family()
-        ring = SYMBOLIC_X_RING
-        reduce = False
-    else:
-        fam = _psihat_for_curve(curve)
-        ring = PolyRing(curve.base, "x")
-        reduce = True
-    x = ring.gen()
+    fam = _symbolic_family() if curve is None else _psihat_for_curve(curve)
+    out = fam.maps.get(m)
+    if out is None:
+        out = fam.maps[m] = _build_mult_x_map(m, fam, reduce=curve is not None)
+    return out
+
+
+def _build_mult_x_map(m: int, fam: PsiHat, reduce: bool) -> RationalFunction:
+    x = fam.x
+    ring = x.ring
     if m == 1:
         return RationalFunction(x, ring.one, reduce=False)
     pm = fam.get(m)
@@ -444,10 +451,7 @@ def mult_x_map(m: int, curve: LegendreCurve | None = None) -> RationalFunction:
         den = fam.f4 * pm * pm
     if den.is_zero():
         raise CurveError(f"multiplication-by-{m} map degenerates identically (char {ring.char})")
-    out = RationalFunction(num, den, reduce=reduce)
-    if curve is None:
-        _SYMBOLIC_MAP_CACHE[m] = out
-    return out
+    return RationalFunction(num, den, reduce=reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +484,8 @@ def supersingular_lambdas(p: int):
     field = FiniteField(p, 2)
     if p == 2:
         raise CurveError("characteristic 2 is excluded")
+    # each lambda is one Horner pass over the (p + 1)/2 coefficients of H_p
+    check_enumeration(f"supersingular scan of F_{{{p}^2}}", p, 2, (p + 1) // 2)
     hp = hasse_polynomial(p)
     out = [lam for lam in field if not lam.is_zero() and not lam.is_one() and hp.evaluate(lam, ring=field).is_zero()]
     return field, sorted(out, key=lambda e: e.coeffs)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import FFElement, FiniteField, embed
-from .legendre import INF, CurveError, LegendreCurve, is_supersingular, mult_x_map
+from .legendre import INF, CurveError, LegendreCurve, check_enumeration, is_supersingular, mult_x_map
 from .poly import PolyRing, RationalFunction
 from .serialize import value_to_json
 
@@ -171,7 +171,8 @@ def _selfmap_over(sm: SelfMap, field: FiniteField) -> SelfMap:
     The coefficients lie in F_p(lambda); they go through the embedding
     fixed by lambda -> embed(lambda, field).  A reduced fraction stays
     reduced under a field extension and its monic denominator stays monic,
-    so the map is not rebuilt.
+    so the map is not rebuilt, and the curve's point count is lifted from
+    the field of lambda, not enumerated again.
     """
     if field == sm.lam.field:
         return sm
@@ -189,7 +190,7 @@ def _selfmap_over(sm: SelfMap, field: FiniteField) -> SelfMap:
 
     ring = PolyRing(field, "x")
     mp = RationalFunction(sm.map.num.map_coeffs(phi, ring), sm.map.den.map_coeffs(phi, ring), reduce=False)
-    return SelfMap(sm.p, lam, mp, LegendreCurve(field, lam), sm.supersingular)
+    return SelfMap(sm.p, lam, mp, sm.curve.base_change(field, lam), sm.supersingular)
 
 
 def _proj_points(field: FiniteField):
@@ -248,10 +249,13 @@ def classify_field(lam: FFElement, p: int | None = None, n: int = 1, with_torsio
     periodic (tail 0) and strictly preperiodic, builds the period
     histogram, and compares the periodic count against #P^1 = p^{2n} + 1.
     """
+    deg = 2 * n
+    char = lam.field.p
+    # each point is one Horner pass over at most p^2 + 1 coefficients of the map
+    check_enumeration(f"census of P^1(F_{{{char}^{deg}}})", char, deg, char**2 + 1)
     sm = build_selfmap(lam, p)
     p = sm.p
     k = lam.field.k
-    deg = 2 * n
     if deg % k != 0:
         raise CurveError(f"lambda lives in F_p^{k}, which does not embed in F_p^{deg}")
     target = FiniteField(p, deg) if deg > k else lam.field

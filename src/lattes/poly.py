@@ -15,6 +15,23 @@ from math import gcd as int_gcd
 from .fields import QQ, FFElement, FieldError, FiniteField, power
 
 
+class _InfinityType:
+    """The point at infinity of P^1 (and the x of the curve's identity)."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "inf"
+
+
+INF = _InfinityType()
+
+
 class ZeroDivisorFound(ArithmeticError):
     """Inversion met a proper factor of the modulus; the factor is the payload."""
 
@@ -302,7 +319,9 @@ class Poly:
 
         The value may live in any ring accepting the coefficients; sparse
         polynomials (like the x^{p^2} monomials this package produces in
-        supersingular characteristic) cost O(#terms * log degree).
+        supersingular characteristic) cost O(#terms * log degree).  The
+        coefficients are coerced only when the value's ring is not the
+        polynomial's own base.
         """
         if ring is None:
             ring = _ring_of(value)
@@ -310,15 +329,17 @@ class Poly:
         if self._sparse is None:
             zero = self.ring.base.zero
             self._sparse = tuple((i, c) for i, c in enumerate(self.coeffs) if c != zero)
-        acc = ring.zero
-        prev = None
-        for i, c in reversed(self._sparse):
-            if prev is not None:
-                gap = prev - i
-                acc = acc * (value if gap == 1 else value**gap)
-            acc = acc + ring.coerce(c)
+        terms = self._sparse
+        if not terms:
+            return ring.zero
+        if ring is not self.ring.base:
+            terms = [(i, ring.coerce(c)) for i, c in terms]
+        prev, acc = terms[-1]
+        for i, c in reversed(terms[:-1]):
+            gap = prev - i
+            acc = acc * (value if gap == 1 else value**gap) + c
             prev = i
-        if prev is not None and prev > 0:
+        if prev > 0:
             acc = acc * value**prev
         return acc
 
@@ -758,9 +779,9 @@ class RationalFunction:
         return nv / dv
 
     def eval_proj(self, z):
-        """Evaluate as a self-map of P^1; z and the result are field values or INF."""
-        from .legendre import INF  # local import to avoid a cycle
-
+        """Evaluate as a self-map of P^1; z and the result are finite-field
+        values or INF.  The denominator goes first: a zero is a pole, and a
+        one (every reduced x^{p^2}/1) needs no division."""
         if z is INF:
             dn, dd = self.num.degree, self.den.degree
             if dn > dd:
@@ -769,11 +790,11 @@ class RationalFunction:
             if dn < dd:
                 return lead_num  # zero of the right field via coeff()
             return self.num.lc / self.den.lc
-        nv = self.num.evaluate(z)
         dv = self.den.evaluate(z)
-        if dv == self.num.ring.base.zero or (hasattr(dv, "is_zero") and dv.is_zero()):
+        if dv.is_zero():
             return INF
-        return nv / dv
+        nv = self.num.evaluate(z)
+        return nv if dv.is_one() else nv / dv
 
     def __eq__(self, other):
         o = self._coerce_other(other)

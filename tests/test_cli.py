@@ -4,6 +4,7 @@ import pytest
 
 from lattes import pvi
 from lattes.cli import EXIT_FAILED, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, build_parser, main
+from lattes.legendre import check_enumeration
 from lattes.poly import ZeroDivisorFound
 
 
@@ -52,6 +53,17 @@ def test_orbit_infinity(capsys):
     )
     assert code == EXIT_OK
     assert data["torsion_order"] == 1
+
+
+def test_orbit_torsion_order_does_not_depend_on_n(capsys):
+    # a lift of z in F_13 is defined over F_{13^2}; over F_{13^6} (past the
+    # counting bound) the point count is lifted from F_13, not enumerated
+    orders = []
+    for n in ("1", "3"):
+        code, data = run_json(["orbit", "--p", "13", "--lambda", "3", "--z", "5", "--n", n], capsys)
+        assert code == EXIT_OK
+        orders.append(data["torsion_order"])
+    assert orders[0] == orders[1]
 
 
 def test_census_supersingular(capsys):
@@ -209,6 +221,49 @@ def test_parser_rejects_out_of_range_counts(argv, flag, capsys):
     code, err = usage_error(argv, capsys)
     assert code == EXIT_USAGE
     assert err.count("\n") == 1 and flag in err
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["census", "--p", "3", "--lambda", "2", "--n", "9"], "3^18 elements"),
+        (["census", "--p", "3", "--lambda", "2", "--n", "1000000000"], "3^2000000000 elements"),
+        (["census", "--p", "13", "--lambda", "2", "--n", "3"], "13^6 elements"),
+        (["supersingular-scan", "--p", "223"], "223^2 elements"),
+        (["supersingular-scan", "--p", "1000003"], "1000003^2 elements"),
+    ],
+)
+def test_enumerations_past_the_budget_are_refused(argv, what, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.count("\n") == 1 and "ENUMERATION_BUDGET" in captured.err and what in captured.err
+
+
+def test_budget_admits_the_documented_enumerations():
+    # the largest census the acceptance suite runs and the largest scan
+    # verify-all runs, then the largest scan admitted; none is enumerated here
+    check_enumeration("census", 13, 4, 13**2 + 1)
+    check_enumeration("scan", 47, 2, 24)
+    check_enumeration("scan", 211, 2, 106)
+
+
+@pytest.mark.parametrize(
+    "argv, flag, why",
+    [
+        (["is-torsion", "--lambda", "2", "--z", "1/0"], "--z", "zero denominator"),
+        (["is-torsion", "--lambda", "1/0", "--z", "1"], "--lambda", "zero denominator"),
+        (["orbit", "--p", "5", "--lambda", "2", "--z", "3/0"], "--z", "zero denominator"),
+        (["census", "--p", "5", "--lambda", "2/0"], "--lambda", "zero denominator"),
+        (["is-torsion", "--lambda", "2", "--z", "abc"], "--z", "expected a/b or an integer"),
+    ],
+)
+def test_bad_fraction_names_the_argument(argv, flag, why, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.count("\n") == 1 and flag in captured.err and why in captured.err
+    assert "Fraction" not in captured.err
 
 
 @pytest.mark.parametrize(

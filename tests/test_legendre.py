@@ -269,6 +269,20 @@ def test_mult_x_map_pointwise():
             assert img == Q.x
 
 
+def test_mult_x_map_is_built_once_per_field_and_lambda():
+    F = FiniteField(7)
+    phi = mult_x_map(7, LegendreCurve(F, F.coerce(3)))
+    # an equal field built afresh, as each CLI command builds its own
+    G = FiniteField(7)
+    assert G is not F
+    assert mult_x_map(7, LegendreCurve(G, G.coerce(3))) is phi
+    assert mult_x_map(5, LegendreCurve(G, G.coerce(3))) is mult_x_map(5, LegendreCurve(F, F.coerce(3)))
+    # lambda = 3 and 5 are both ordinary for p = 7, so their [7]-maps differ
+    other = mult_x_map(7, LegendreCurve(G, G.coerce(5)))
+    assert other is not phi and (other.num, other.den) != (phi.num, phi.den)
+    assert mult_x_map(3) is mult_x_map(3)
+
+
 def test_group_law_dispatcher():
     F5 = FiniteField(5)
     c = LegendreCurve(F5, F5.coerce(2))

@@ -132,6 +132,19 @@ def test_embedded_selfmap_equals_fresh_build(p, k, deg):
         assert pushed.map.den.lc.is_one()
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_lifted_point_count_matches_brute_force(p):
+    # _selfmap_over carries the count of lambda's curve by the trace
+    # recurrence; a fresh curve over the target field counts by enumeration
+    F, F2, F4 = FiniteField(p), FiniteField(p, 2), FiniteField(p, 4)
+    cases = [(F.coerce(a), target) for a in range(2, p) for target in (F2, F4)]
+    cases += [(lam, F4) for lam in F2 if not lam.in_prime_field()][:8]
+    for lam, target in cases:
+        curve = _selfmap_over(build_selfmap(lam), target).curve
+        assert curve.base is target and curve._count is not None
+        assert curve.count_and_trace() == LegendreCurve(target, curve.lam).count_and_trace()
+
+
 def test_period_torsion_report_wrapper():
     F5 = FiniteField(5)
     rep = orbit(F5.coerce(3), build_selfmap(F5.coerce(2)))

@@ -230,6 +230,65 @@ def test_eval_proj():
     assert phi.eval_proj(F5.coerce(1)) == F5.coerce(2)
 
 
+def _plain_horner(coeffs, value, zero):
+    acc = zero
+    for c in reversed(coeffs):
+        acc = acc * value + c
+    return acc
+
+
+def test_evaluate_matches_plain_horner():
+    rng = random.Random(9)
+    Fp, F = FiniteField(7), FiniteField(7, 2)
+    R, Rp = PolyRing(F, "x"), PolyRing(Fp, "x")
+    values = [F.element([rng.randrange(7), rng.randrange(7)]) for _ in range(8)] + [F.zero, F.one]
+    for _ in range(25):
+        n = rng.randrange(0, 60)
+        # sparse runs exercise the gap powers; n = 0 is the zero polynomial
+        dense = [F.element([rng.randrange(7), rng.randrange(7)]) if rng.random() < 0.3 else F.zero for _ in range(n)]
+        prime = [Fp.coerce(rng.randrange(7)) if rng.random() < 0.3 else Fp.zero for _ in range(n)]
+        for v in values:
+            # coefficients in the value's field
+            assert R.from_coeffs(dense).evaluate(v) == _plain_horner(dense, v, F.zero)
+            # F_p coefficients at F_{p^2} values, as supersingular_lambdas evaluates H_p
+            want = _plain_horner([F.coerce(c) for c in prime], v, F.zero)
+            assert Rp.from_coeffs(prime).evaluate(v, ring=F) == want
+            assert Rp.from_coeffs(prime).evaluate(v) == want
+    # Q coefficients at a Fraction, as certify_separable reduces Psi_m at lambda_0
+    for _ in range(25):
+        coeffs = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(rng.randrange(0, 12))]
+        v = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+        assert QX.from_coeffs(coeffs).evaluate(v) == _plain_horner(coeffs, v, Fraction(0))
+
+
+def test_eval_proj_matches_plain_horner():
+    from lattes.legendre import INF
+
+    F = FiniteField(5, 2)
+    R = PolyRing(F, "x")
+    g = F.gen()
+    maps = {
+        ">": ([F.one, g, F.zero, g + 1], [g, F.one]),
+        "=": ([g, F.zero, 3 * g], [F.one, F.zero, F.one]),
+        "<": ([g + 2], [F.zero, F.one, F.one]),
+        "den 1": ([F.zero] * 25 + [F.one], [F.one]),  # the supersingular x^{p^2}/1
+    }
+    at_inf = {">": INF, "=": 3 * g, "<": F.zero, "den 1": INF}
+    poles = 0
+    for kind, (num, den) in maps.items():
+        phi = RationalFunction(R.from_coeffs(num), R.from_coeffs(den))
+        assert phi.eval_proj(INF) == at_inf[kind]
+        for z in F:
+            dv = _plain_horner(den, z, F.zero)
+            got = phi.eval_proj(z)
+            if dv.is_zero():
+                assert got is INF
+                poles += 1
+            else:
+                assert got == _plain_horner(num, z, F.zero) / dv
+    assert poles == 5  # x = -g for ">", x = +-2 for "=" (x^2 + 1 splits over F_5), x = 0, -1 for "<"
+
+
 def test_quotient_ring():
     Q = QuotientRing(P(1, 0, 1))  # Q[x]/(x^2+1)
     i = Q.element(P(0, 1))
