@@ -60,7 +60,8 @@ def is_good_prime(lam: Fraction, z, p: int) -> bool:
     """p is odd, lambda reduces to F_p - {0, 1}, and z reduces to A^1."""
     if p == 2 or not is_prime(p):
         return False
-    if lam.denominator % p == 0 or lam.numerator % p == 0 or (lam - 1).numerator % p == 0:
+    # lambda - 1 = (n - d)/d in lowest terms, since gcd(n - d, d) = gcd(n, d) = 1
+    if lam.denominator % p == 0 or lam.numerator % p == 0 or (lam.numerator - lam.denominator) % p == 0:
         return False
     if z is not INF and z.denominator % p == 0:
         return False
@@ -91,6 +92,20 @@ def _prime_to(p: int, m: int) -> int:
     return m
 
 
+def _candidates(primes: list[int], orders: list[int], bound: int) -> list[int]:
+    """The m in 3..bound whose prime-to-p part equals that of the local order
+    at every good prime p, ascending.  The prime-to-p_0 part of m is that of
+    the order at p_0, so m is that part times a power of p_0."""
+    parts = [(p, _prime_to(p, mi)) for p, mi in zip(primes, orders)]
+    p0, m = parts[0]
+    out = []
+    while m <= bound:
+        if m >= 3 and all(_prime_to(p, m) == part for p, part in parts[1:]):
+            out.append(m)
+        m *= p0
+    return out
+
+
 def detect(query: TorsionQuery) -> TorsionCertificate:
     """Three-way torsion verdict with a re-checkable certificate.
 
@@ -112,12 +127,7 @@ def detect(query: TorsionQuery) -> TorsionCertificate:
         return TorsionCertificate("inconclusive", primes=primes, bound=bound)
     orders = [local_order(lam, z, p) for p in primes]
 
-    candidates = []
-    for m in range(3, bound + 1):
-        if all(_prime_to(p, m) == _prime_to(p, mi) for p, mi in zip(primes, orders)):
-            candidates.append(m)
-
-    for m in candidates:
+    for m in _candidates(primes, orders, bound):
         if psihat_eval(m, lam, z) == 0:
             return TorsionCertificate(
                 "torsion",

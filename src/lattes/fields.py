@@ -372,7 +372,8 @@ class FiniteField:
             raise FieldError(f"{p} is not prime")
         if k < 1:
             raise FieldError("degree must be >= 1")
-        if p**k > DESK_CARDINALITY_BOUND:
+        # p >= 2, so a long degree alone decides without forming p^k
+        if k >= DESK_CARDINALITY_BOUND.bit_length() or p**k > DESK_CARDINALITY_BOUND:
             raise FieldError(f"cardinality {p}^{k} exceeds the desk-scale bound {DESK_CARDINALITY_BOUND}")
         self.p = p
         self.k = k
@@ -458,6 +459,8 @@ class FiniteField:
         return FFElement(self, tuple([d % p for d in digits[:k]]) + (0,) * (k - len(digits)))
 
     def coerce(self, v) -> FFElement:
+        if v.__class__ is int:
+            return FFElement(self, (v % self.p,) + (0,) * (self.k - 1))
         if isinstance(v, FFElement):
             if v.field == self:
                 return v

@@ -212,18 +212,26 @@ class LegendreCurve:
         if self._count is None:
             if base.order > POINT_COUNT_BOUND:
                 raise CurveError(f"field size {base.order} exceeds the counting bound {POINT_COUNT_BOUND}")
-            squares = set()
-            for e in base:
-                squares.add(e * e)
-            zero, one = base.zero, base.one
-            lam = self.lam
             n = 1
-            for x in base:
-                fx = x * (x - one) * (x - lam)
-                if fx == zero:
-                    n += 1
-                elif fx in squares:
-                    n += 2
+            if base.k == 1:
+                # the same count on residues mod p, without element objects
+                p, lam = base.p, self.lam.coeffs[0]
+                squares = {x * x % p for x in range(p)}
+                for x in range(p):
+                    fx = x * (x - 1) * (x - lam) % p
+                    if fx == 0:
+                        n += 1
+                    elif fx in squares:
+                        n += 2
+            else:
+                squares = {e * e for e in base}
+                zero, one, lam = base.zero, base.one, self.lam
+                for x in base:
+                    fx = x * (x - one) * (x - lam)
+                    if fx == zero:
+                        n += 1
+                    elif fx in squares:
+                        n += 2
             self._count = n
         n = self._count
         trace = base.order + 1 - n
@@ -338,12 +346,15 @@ class PsiHat:
         b8 = -(lam * lam)
         f = x * (x - one) * (x - lam)
         self.f4 = 4 * f
+        # 3x^4 + b2 x^3 + 3b4 x^2 + b8 and
+        # 2x^6 + b2 x^5 + 5b4 x^4 + 10b8 x^2 + b2b8 x + b4b8, by Horner in x
+        x2 = x * x
         self._memo = {
             0: one - one,
             1: one,
             2: one,
-            3: 3 * x**4 + b2 * x**3 + 3 * (b4 * x**2) + b8,
-            4: 2 * x**6 + b2 * x**5 + 5 * (b4 * x**4) + 10 * (b8 * x**2) + (b2 * b8) * x + b4 * b8,
+            3: ((3 * x + b2) * x + 3 * b4) * x2 + b8,
+            4: ((((2 * x + b2) * x + 5 * b4) * x2 + 10 * b8) * x + b2 * b8) * x + b4 * b8,
         }
 
     def get(self, m: int):

@@ -240,6 +240,14 @@ def test_enumerations_past_the_budget_are_refused(argv, what, capsys):
     assert captured.err.count("\n") == 1 and "ENUMERATION_BUDGET" in captured.err and what in captured.err
 
 
+def test_oversized_field_is_refused_before_it_is_formed(capsys):
+    # F_{3^6000000} is refused from its degree, without forming 3^6000000
+    code = main(["orbit", "--p", "3", "--lambda", "2", "--z", "1", "--n", "3000000"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.count("\n") == 1 and "cardinality 3^6000000 exceeds the desk-scale bound" in captured.err
+
+
 def test_budget_admits_the_documented_enumerations():
     # the largest census the acceptance suite runs and the largest scan
     # verify-all runs, then the largest scan admitted; none is enumerated here

@@ -20,7 +20,9 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 # (command line, exit code): the README examples except the slow
 # `verify-all --pmax 13`, plus an extension-field census with verdicts, an
-# orbit over a larger field, a short sweep and the PVI check at m = 3, 4
+# orbit over a larger field, a short sweep, the PVI check at m = 3, 4, a
+# 6-torsion certificate (its exact-order check tests psihat_3, then psihat_6)
+# and a non-torsion one (integral lambda, z not integral: Nagell-Lutz)
 COMMANDS = [
     ("selfmap --p 3 --lambda 2", 0),
     ("orbit --p 5 --lambda 2 --z 3", 0),
@@ -29,6 +31,8 @@ COMMANDS = [
     ("hasse-poly --p 7", 0),
     ("torsion-locus --m 3", 0),
     ("is-torsion --lambda 27/32 --z 9/8", 0),
+    ("is-torsion --lambda 27/32 --z 3/4", 0),
+    ("is-torsion --lambda=-21 --z=25/16", 3),
     ("census --p 3 --k 2 --lambda 1,1 --n 2 --verdicts", 0),
     ("orbit --p 5 --lambda 2 --z 3 --n 2", 0),
     ("verify-all --pmax 5", 0),

@@ -1,14 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from lattes.detect import (
     TorsionQuery,
+    _candidates,
     detect,
     good_primes,
     is_good_prime,
     local_order,
 )
+from lattes.fields import is_prime
 from lattes.legendre import INF, psihat_eval
 
 
@@ -35,6 +38,47 @@ def test_good_primes():
     # prime factors, so the first five odd primes are all good
     assert good_primes(Fraction(2), Fraction(3)) == [3, 5, 7, 11, 13]
     assert is_good_prime(Fraction(2), Fraction(3), 3)
+
+
+def test_good_prime_test_agrees_with_the_fraction_form():
+    # (lambda - 1)'s numerator read as n - d against Fraction arithmetic
+    def reference(lam, z, p):
+        if p == 2 or not is_prime(p):
+            return False
+        if lam.denominator % p == 0 or lam.numerator % p == 0 or (lam - 1).numerator % p == 0:
+            return False
+        return z is INF or z.denominator % p != 0
+
+    zs = [INF, Fraction(0), Fraction(-7, 3), Fraction(9, 8), Fraction(25, 21)]
+    for n in range(-30, 31):
+        for d in range(1, 16):
+            lam = Fraction(n, d)
+            if lam in (0, 1):
+                continue
+            for z in zs:
+                for p in range(51):
+                    assert is_good_prime(lam, z, p) == reference(lam, z, p), (lam, z, p)
+
+
+def test_candidates_match_the_filter_over_every_m():
+    # the walk over p_0-power multiples against the filter on 3..bound
+    def prime_to(p, m):
+        while m % p == 0:
+            m //= p
+        return m
+
+    rng = random.Random(5)
+    for _ in range(600):
+        primes = rng.choice([[3, 5, 7, 11, 13], [7, 11, 13, 17, 19], [5, 13, 17, 19, 23]])
+        # one order m, at some primes with a factor p dropped, and at times
+        # one local order off by a factor 2 that only its own prime sees
+        m = rng.randint(3, 80)
+        orders = [m // p if m % p == 0 and rng.random() < 0.5 else m for p in primes]
+        if rng.random() < 0.5:
+            orders[rng.randrange(len(primes))] *= 2
+        for bound in (1, 3, 12, 64, 200):
+            want = [m for m in range(3, bound + 1) if all(prime_to(p, m) == prime_to(p, o) for p, o in zip(primes, orders))]
+            assert _candidates(primes, orders, bound) == want, (primes, orders, bound)
 
 
 def test_local_order_examples():

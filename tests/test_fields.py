@@ -268,6 +268,34 @@ def test_cardinality_bound_and_errors():
     assert FiniteField(3, 2).element([1, 0, 1]) == FiniteField(3, 2).element([0])  # x^2 = -1
 
 
+def test_degree_past_the_bound_is_refused_before_the_power():
+    # 3^(10^7) would take seconds to form; the degree alone decides, with the
+    # message the cardinality test gives
+    class Degree(int):
+        def __rpow__(self, base):
+            raise AssertionError(f"{base}^{int(self)} was formed")
+
+    with pytest.raises(FieldError, match=r"cardinality 3\^10000000 exceeds the desk-scale bound"):
+        FiniteField(3, Degree(10**7))
+    with pytest.raises(FieldError, match=r"cardinality 2\^41 exceeds"):
+        FiniteField(2, 41)  # 2^41 is the least power of two past 2^40
+    with pytest.raises(FieldError, match=r"cardinality 3\^26 exceeds"):
+        FiniteField(3, 26)  # a short degree is still decided by p^k
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_int_coercion_matches_element(k):
+    F = FiniteField(7, k)
+    for v in [-10**40 - 3, -8, -7, -1, 0, 1, 6, 7, 13, 10**40 + 5]:
+        got = F.coerce(v)
+        assert got.field is F and got.coeffs == F.element([v]).coeffs
+        assert all(type(c) is int for c in got.coeffs)
+    # bool keeps the general path: True is 1 and False is 0
+    assert F.coerce(True).coeffs == F.element([1]).coeffs
+    assert F.coerce(False).coeffs == F.zero.coeffs
+    assert all(type(c) is int for c in F.coerce(True).coeffs)
+
+
 def test_serialization_round_trip():
     F = FiniteField(3, 2)
     data = F.to_json()

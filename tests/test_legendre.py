@@ -8,6 +8,7 @@ import pytest
 from lattes.fields import QQ, FiniteField, QuadExtField
 from lattes.legendre import (
     INF,
+    PsiHat,
     SYMBOLIC_LAMBDA_RING,
     SYMBOLIC_X_RING,
     CurveError,
@@ -178,6 +179,34 @@ def test_x_order_matches_group_law(p, k):
     assert kinds == {"infinity", "twist", "branch", "rational"}
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_prime_field_counts_match_element_enumeration(p):
+    # the residue count of count_and_trace against the same enumeration
+    # written on field elements, for every lambda in F_p - {0, 1}
+    F = FiniteField(p)
+    squares = {e * e for e in F}
+    for lam in F:
+        if lam.is_zero() or lam.is_one():
+            continue
+        n = 1
+        for x in F:
+            fx = x * (x - F.one) * (x - lam)
+            if fx.is_zero():
+                n += 1
+            elif fx in squares:
+                n += 2
+        assert LegendreCurve(F, lam).count_and_trace() == (n, p + 1 - n), (p, lam)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3)])
+def test_extension_field_counts_match_brute_points(p, k):
+    F = FiniteField(p, k)
+    for lam in F:
+        if not (lam.is_zero() or lam.is_one()):
+            c = LegendreCurve(F, lam)
+            assert c.count_and_trace()[0] == len(brute_points(c)), lam
+
+
 def test_group_order_and_extension():
     F7 = FiniteField(7)
     c = LegendreCurve(F7, F7.coerce(2))
@@ -203,12 +232,14 @@ def test_division_polynomial_bases():
     l = SYMBOLIC_LAMBDA_RING.gen()
     xr = SYMBOLIC_X_RING
     one = SYMBOLIC_LAMBDA_RING.one
+    zero = SYMBOLIC_LAMBDA_RING.coerce(0)
+    b2, b4, b8 = -4 * (one + l), 2 * l, -(l * l)
 
+    # 3x^4 + b2 x^3 + 3 b4 x^2 + b8 with b2 = -4(1 + l), b4 = 2l, b8 = -l^2,
+    # one x-coefficient at a time
     p3 = division_polynomial(3)
-    expect3 = xr.from_coeffs(
-        [-(l * l), SYMBOLIC_LAMBDA_RING.coerce(0), 6 * l, -4 * (one + l), 3 * one]
-    )
-    assert p3 == expect3
+    assert p3 == xr.from_coeffs([b8, zero, 3 * b4, b2, 3 * one])
+    assert p3 == xr.from_coeffs([-(l * l), zero, 6 * l, -4 * (one + l), 3 * one])
     assert division_polynomial(1) == xr.one
     assert division_polynomial(2) == xr.one
     with pytest.raises(ValueError):
@@ -216,6 +247,22 @@ def test_division_polynomial_bases():
     p4 = division_polynomial(4)
     assert p4.degree == 6
     assert p4.lc == 2 * one
+    # 2x^6 + b2 x^5 + 5 b4 x^4 + 10 b8 x^2 + b2 b8 x + b4 b8
+    assert p4 == xr.from_coeffs([b4 * b8, b2 * b8, 10 * b8, zero, 5 * b4, b2, 2 * one])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_scalar_family_matches_polynomial_family(k):
+    # the recurrence run on a scalar z equals psihat_m in F_q[x] evaluated at z
+    F = FiniteField(7, k)
+    lams = [lam for lam in F if not (lam.is_zero() or lam.is_one())]
+    for lam in lams if k == 1 else lams[::6]:
+        c = LegendreCurve(F, lam)
+        polys = [division_polynomial(m, c) for m in range(1, 13)]
+        for z in F:
+            fam = PsiHat(z, lam, F.one)
+            for m, poly in enumerate(polys, start=1):
+                assert fam.get(m) == poly(z), (lam, z, m)
 
 
 def test_psihat_eval_known_values():
