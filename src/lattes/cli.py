@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import detect as detect_mod
 from . import moduli, pvi
 from .fields import FieldError, FiniteField
-from .legendre import CurveError, INF, hasse_polynomial, supersingular_lambdas
+from .legendre import HASSE_POLY_BOUND, INF, CurveError, hasse_polynomial, supersingular_lambdas
 from .poly import ZeroDivisorFound
 from .serialize import value_to_json
 
@@ -288,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
 
     sp = add("hasse-poly", _cmd_hasse_poly, help="the Deuring-Hasse polynomial over F_p")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument(
+        "--p", type=_int_in_range(2, HASSE_POLY_BOUND, "HASSE_POLY_BOUND"), required=True, help=f"an odd prime <= {HASSE_POLY_BOUND}"
+    )
 
     sp = add("torsion-locus", _cmd_torsion_locus, help="Psi_m as an integer polynomial")
     sp.add_argument(

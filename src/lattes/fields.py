@@ -264,8 +264,14 @@ class FFElement:
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.field.p
-        return FFElement(self.field, tuple(-a % p for a in self.coeffs))
+        f = self.field
+        p = f.p
+        a = self.coeffs
+        if f.k == 1:
+            return FFElement(f, (-a[0] % p,))
+        if f.k == 2:
+            return FFElement(f, (-a[0] % p, -a[1] % p))
+        return FFElement(f, tuple([-c % p for c in a]))
 
     def __sub__(self, other):
         f = self.field
@@ -472,7 +478,8 @@ class FiniteField:
         if isinstance(v, Fraction):
             if v.denominator % self.p == 0:
                 raise FieldError(f"denominator of {v} not invertible mod {self.p}")
-            return self.element([v.numerator * pow(v.denominator, -1, self.p)])
+            p = self.p
+            return FFElement(self, (v.numerator * pow(v.denominator, -1, p) % p,) + (0,) * (self.k - 1))
         raise FieldError(f"cannot coerce {v!r} into F_{self.p}^{self.k}")
 
     def __iter__(self):

@@ -9,7 +9,6 @@ brute-force group-law oracle in the tests rather than trusted.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .fields import QQ, FFElement, FiniteField, QuadExtField, factorize, is_prime, rational_sqrt
@@ -17,6 +16,9 @@ from .poly import INF, Poly, PolyRing, RationalFunction
 
 
 POINT_COUNT_BOUND = 10**6
+# the largest p whose H_p the CLI writes out: (p + 1)/2 coefficients, about
+# 4 s and 0.2 GB of JSON at the bound
+HASSE_POLY_BOUND = 10**6
 # field operations one enumeration (a census or a supersingular scan) may
 # take: tens of seconds at most on a desk machine
 ENUMERATION_BUDGET = 5 * 10**6
@@ -287,16 +289,27 @@ class LegendreCurve:
             return 1
         base = self.base
         z = base.coerce(z)
-        fz = self.f(z)
-        if fz.is_zero():
-            return 2
         q = base.order
+        if base.k == 1:
+            # the same test and recurrence on residues mod p, without element objects
+            p, x, lam = base.p, z.coeffs[0], self.lam.coeffs[0]
+            fz = x * (x - 1) * (x - lam) % p
+            if fz == 0:
+                return 2
+            square = pow(fz, (p - 1) // 2, p) == 1
+            psihat = PsiHat(x, lam, 1, modulus=p)
+            zero = 0
+        else:
+            fz = self.f(z)
+            if fz.is_zero():
+                return 2
+            square = fz ** ((q - 1) // 2) == base.one
+            psihat = PsiHat(z, self.lam, base.one)
+            zero = base.zero
         _, a = self.count_and_trace()
-        n = q + 1 - a if fz ** ((q - 1) // 2) == base.one else q + 1 + a
-        psihat = PsiHat(z, self.lam, base.one)
-        order = n
-        for ell in factorize(n):
-            while order % ell == 0 and psihat.get(order // ell).is_zero():
+        order = q + 1 - a if square else q + 1 + a
+        for ell in factorize(order):
+            while order % ell == 0 and psihat.get(order // ell) == zero:
                 order //= ell
         return order
 
@@ -335,12 +348,15 @@ class PsiHat:
     Works over any commutative domain: x may be a polynomial generator
     (symbolic) or a scalar (pointwise evaluation of the same recurrence).
     A polynomial family also keeps the [m]-maps mult_x_map builds on it.
+    With a modulus p, x, lam and one are ints and every value is reduced
+    mod p: the scalar family over F_p on residues, which x_order runs.
     """
 
-    def __init__(self, x, lam, one):
+    def __init__(self, x, lam, one, modulus=None):
         self.one = one
         self.x = x
         self.maps = {}
+        self.modulus = modulus
         b2 = -4 * (one + lam)
         b4 = 2 * lam
         b8 = -(lam * lam)
@@ -356,6 +372,9 @@ class PsiHat:
             3: ((3 * x + b2) * x + 3 * b4) * x2 + b8,
             4: ((((2 * x + b2) * x + 5 * b4) * x2 + 10 * b8) * x + b2 * b8) * x + b4 * b8,
         }
+        if modulus is not None:
+            self.f4 %= modulus
+            self._memo = {m: v % modulus for m, v in self._memo.items()}
 
     def get(self, m: int):
         if m < 0:
@@ -374,6 +393,8 @@ class PsiHat:
                 v = f4sq * t1 - t2
             else:
                 v = t1 - f4sq * t2
+        if self.modulus is not None:
+            v %= self.modulus
         memo[m] = v
         return v
 
@@ -470,13 +491,21 @@ def _build_mult_x_map(m: int, fam: PsiHat, reduce: bool) -> RationalFunction:
 
 
 def hasse_polynomial(p: int) -> Poly:
-    """Deuring-Hasse polynomial over F_p: sum binom((p-1)/2, k)^2 l^k."""
+    """Deuring-Hasse polynomial over F_p: sum binom((p-1)/2, k)^2 l^k.
+
+    The binomials are formed mod p by c_{k+1} = c_k (h - k) / (k + 1), each
+    k + 1 <= h < p invertible, never as full-size integers."""
     if p == 2 or not is_prime(p):
         raise ValueError("odd prime required")
     field = FiniteField(p)
     h = (p - 1) // 2
     ring = PolyRing(field, "l")
-    return ring.from_coeffs([math.comb(h, k) ** 2 % p for k in range(h + 1)])
+    coeffs = []
+    c = 1
+    for k in range(h + 1):
+        coeffs.append(c * c % p)
+        c = c * (h - k) * pow(k + 1, -1, p) % p
+    return ring.from_coeffs(coeffs)
 
 
 def is_supersingular(lam: FFElement) -> bool:

@@ -248,6 +248,21 @@ def test_oversized_field_is_refused_before_it_is_formed(capsys):
     assert captured.err.count("\n") == 1 and "cardinality 3^6000000 exceeds the desk-scale bound" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selfmap", "--p", "1000003", "--lambda", "2"],
+        ["selfmap", "--p", "227", "--lambda", "2"],
+        ["orbit", "--p", "1000003", "--lambda", "2", "--z", "3"],
+    ],
+)
+def test_selfmap_past_the_budget_is_refused(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.count("\n") == 1 and "SELFMAP_BUDGET = 50000" in captured.err
+
+
 def test_budget_admits_the_documented_enumerations():
     # the largest census the acceptance suite runs and the largest scan
     # verify-all runs, then the largest scan admitted; none is enumerated here
@@ -280,6 +295,7 @@ def test_bad_fraction_names_the_argument(argv, flag, why, capsys):
         (["pvi-check", "--m", str(pvi.PVI_EXACT_BOUND + 1)], "PVI_EXACT_BOUND"),
         (["pvi-check", "--m", "12"], "PVI_EXACT_BOUND"),
         (["torsion-locus", "--m", "13"], "TORSION_LOCUS_BOUND"),
+        (["hasse-poly", "--p", "1000003"], "HASSE_POLY_BOUND"),
     ],
 )
 def test_parser_names_the_upper_bound(argv, bound, capsys):

@@ -296,6 +296,31 @@ def test_int_coercion_matches_element(k):
     assert all(type(c) is int for c in F.coerce(True).coeffs)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fraction_coercion_matches_element(k):
+    F = FiniteField(7, k)
+    for n in [-10**40 - 3, -8, -1, 0, 1, 6, 13, 10**40 + 5]:
+        for d in [1, 2, 3, 6, 8, 10**30 + 1]:
+            v = Fraction(n, d)
+            got = F.coerce(v)
+            assert got.field is F and got.coeffs == F.element([v.numerator * pow(v.denominator, -1, 7)]).coeffs
+            assert got == F.element([n]) / F.element([d])
+            assert all(type(c) is int for c in got.coeffs)
+    # a denominator divisible by p is still refused, with the same message
+    for v in [Fraction(1, 7), Fraction(-3, 14), Fraction(2, 7**20)]:
+        with pytest.raises(FieldError, match=f"denominator of {v} not invertible mod 7"):
+            F.coerce(v)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_negation_matches_subtraction_from_zero(k):
+    F = FiniteField(7, k)
+    for a in F:
+        neg = -a
+        assert neg.field is F and neg.coeffs == (F.zero - a).coeffs
+        assert all(type(c) is int and 0 <= c < 7 for c in neg.coeffs)
+
+
 def test_serialization_round_trip():
     F = FiniteField(3, 2)
     data = F.to_json()

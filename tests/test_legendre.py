@@ -1,11 +1,12 @@
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction
 
 import pytest
 
-from lattes.fields import QQ, FiniteField, QuadExtField
+from lattes.fields import QQ, FiniteField, QuadExtField, is_prime
 from lattes.legendre import (
     INF,
     PsiHat,
@@ -156,9 +157,9 @@ def test_lift_x():
     assert c.lift_x(INF) == [c.infinity]
 
 
-@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2), (11, 1), (5, 2)])
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2), (11, 1), (5, 2), (13, 1), (17, 1)])
 def test_x_order_matches_group_law(p, k):
-    # every z in P^1(F_q) for every admissible lambda, q in {5, 7, 9, 11, 25}:
+    # every z in P^1(F_q) for every admissible lambda, q in {5, 7, 9, 11, 13, 17, 25}:
     # branch points, square f(z) (points of C(F_q)) and non-square f(z)
     # (twist points over F_{q^2}) against the scalar_mul oracle on a lift
     F = FiniteField(p, k)
@@ -265,6 +266,29 @@ def test_scalar_family_matches_polynomial_family(k):
                 assert fam.get(m) == poly(z), (lam, z, m)
 
 
+def _residue_family_mismatch(p, modulus, mmax=40):
+    """The first (lambda, z, m) with m <= mmax at which the int family mod
+    modulus differs from the FFElement family over F_p, or None."""
+    F = FiniteField(p)
+    for l in range(2, p):
+        for z in range(p):
+            oracle = PsiHat(F.coerce(z), F.coerce(l), F.one)
+            fam = PsiHat(z, l, 1, modulus=modulus)
+            for m in range(mmax + 1):
+                if fam.get(m) != oracle.get(m).coeffs[0]:
+                    return l, z, m
+    return None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_residue_family_matches_element_family(p):
+    # x_order's family on residues mod p against the same recurrence on
+    # FFElements, every lambda in F_p - {0, 1}, every z in F_p, m <= 40
+    assert _residue_family_mismatch(p, p) is None
+    # a modulus off by one is caught
+    assert _residue_family_mismatch(p, p + 1) is not None
+
+
 def test_psihat_eval_known_values():
     assert psihat_eval(3, Fraction(27, 32), Fraction(9, 8)) == 0
     assert psihat_eval(3, Fraction(2), Fraction(3)) == 23
@@ -347,6 +371,15 @@ def test_hasse_polynomial_oracles():
         hasse_polynomial(2)
     with pytest.raises(ValueError):
         hasse_polynomial(9)
+
+
+def test_hasse_coefficients_match_full_binomials():
+    # the ratio recurrence mod p against binom((p-1)/2, k)^2 mod p formed in full
+    for p in range(3, 300):
+        if is_prime(p):
+            h = (p - 1) // 2
+            got = [c.lift_int() for c in hasse_polynomial(p).coeffs]
+            assert got == [math.comb(h, k) ** 2 % p for k in range(h + 1)], p
 
 
 def test_supersingular_counts():

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from lattes.fields import FiniteField, embed
-from lattes.legendre import INF, CurveError, LegendreCurve
+from lattes import legendre
+from lattes.legendre import INF, CurveError, LegendreCurve, mult_x_map, supersingular_lambdas
 from lattes.moduli import (
+    SELFMAP_BUDGET,
     ModuliPoint,
     _selfmap_over,
     build_selfmap,
@@ -212,6 +214,37 @@ def test_identity_check_supersingular():
     out = supersingular_identity_check(F3.coerce(2))
     assert out["ok"] and out["symbolic"] and out["pointwise"]
     assert out["counterexample"] is None
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_identity_check_pushes_the_map_it_holds(p):
+    # the [p]-map of every supersingular lambda, pushed into F_{p^4}, equals
+    # the map rebuilt there from scratch (the oracle); the check itself
+    # builds no [p]-map over F_{p^4}
+    F4 = FiniteField(p, 4)
+    _, lams = supersingular_lambdas(p)
+    for lam in lams:
+        pushed = _selfmap_over(build_selfmap(lam), F4).map
+        rebuilt = mult_x_map(p, LegendreCurve(F4, embed(lam, F4)))
+        assert (pushed.num, pushed.den) == (rebuilt.num, rebuilt.den), lam
+    legendre._CURVE_PSIHAT_CACHE.clear()
+    for lam in lams:
+        assert supersingular_identity_check(lam)["ok"]
+    assert {key[0] for key in legendre._CURVE_PSIHAT_CACHE} == {lams[0].field}
+
+
+def test_selfmap_budget():
+    # the README's selfmap, verify-all --pmax 47's [47]-maps over F_{47^2} and
+    # selfmap --p 223 are admitted; the next primes are refused before any
+    # map is built
+    for p, k in [(3, 1), (47, 2), (223, 1), (157, 2), (127, 3)]:
+        assert p * p * k <= SELFMAP_BUDGET
+    for p, k in [(227, 1), (163, 2), (131, 3)]:
+        assert p * p * k > SELFMAP_BUDGET
+        legendre._CURVE_PSIHAT_CACHE.clear()
+        with pytest.raises(CurveError, match=f"p\\^2 \\* k = {p * p * k} exceeds SELFMAP_BUDGET = {SELFMAP_BUDGET}"):
+            build_selfmap(FiniteField(p, k).element([2, 1][:k]))
+        assert not legendre._CURVE_PSIHAT_CACHE
 
 
 def test_identity_check_rejects_ordinary():
